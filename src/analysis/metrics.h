@@ -102,7 +102,7 @@ struct RunMetrics {
   // runs). Deterministic: a pure function of the trace and the lookahead.
   uint64_t sync_epochs = 0;
   // Lookahead slots the fleet's barrier loop jumped without an epoch (dead
-  // slots snapped over + slots batched under route_quantum). Deterministic,
+  // slots snapped over + slots batched into a four-slot window). Deterministic,
   // like sync_epochs.
   uint64_t sync_epochs_skipped = 0;
 

@@ -44,13 +44,7 @@ RunMetrics MuxServeCluster::Run(const std::vector<ArrivalEvent>& trace) {
   requests_.clear();
   requests_.reserve(trace.size());
   for (const ArrivalEvent& event : trace) {
-    Request request;
-    request.id = requests_.size();
-    request.model = event.model;
-    request.prompt_tokens = event.prompt_tokens;
-    request.output_tokens = std::max<int64_t>(1, event.output_tokens);
-    request.arrival = event.time;
-    requests_.push_back(request);
+    requests_.push_back(RequestFromArrival(event, requests_.size()));
     Request* r = &requests_.back();
     // Requests to refused models are accepted but never scheduled: all of
     // their tokens miss (this is what caps MuxServe's model count).

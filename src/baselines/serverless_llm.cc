@@ -56,14 +56,7 @@ RunMetrics ServerlessLlmCluster::Run(const std::vector<ArrivalEvent>& trace) {
                                             std::move(backend));
   }
   for (const ArrivalEvent& event : trace) {
-    Request request;
-    request.id = requests_.size();
-    request.model = event.model;
-    request.prompt_tokens = event.prompt_tokens;
-    request.output_tokens = std::max<int64_t>(1, event.output_tokens);
-    request.arrival = event.time;
-    request.priority = event.priority;
-    requests_.push_back(request);
+    requests_.push_back(RequestFromArrival(event, requests_.size()));
     Request* r = &requests_.back();
     if (proxy_ != nullptr) {
       sim_.At(event.time, [this, r] { proxy_->OnArrival(r); });

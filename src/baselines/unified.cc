@@ -39,13 +39,7 @@ RunMetrics UnifiedCluster::Run(const std::vector<ArrivalEvent>& trace) {
     model_cache_->Warm(model.id, model.spec.weight_bytes());
   }
   for (const ArrivalEvent& event : trace) {
-    Request request;
-    request.id = requests_.size();
-    request.model = event.model;
-    request.prompt_tokens = event.prompt_tokens;
-    request.output_tokens = std::max<int64_t>(1, event.output_tokens);
-    request.arrival = event.time;
-    requests_.push_back(request);
+    requests_.push_back(RequestFromArrival(event, requests_.size()));
     Request* r = &requests_.back();
     sim_.At(event.time, [this, r] { OnArrival(r); });
   }

@@ -307,18 +307,7 @@ void AegaeonCluster::InjectArrivals(const ArrivalEvent* events, const TimePoint*
   batch.clear();
   batch.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    const ArrivalEvent& event = events[i];
-    Request request;
-    request.id = requests_.size();
-    request.model = event.model;
-    request.prompt_tokens = event.prompt_tokens;
-    request.output_tokens = std::max<int64_t>(1, event.output_tokens);
-    // Arrival stays the client-observed time: dispatch delay — and, after
-    // a dispatcher failover, the whole replay detour — surfaces as prefill
-    // wait / TTFT, not as a shifted arrival.
-    request.arrival = event.time;
-    request.priority = event.priority;
-    requests_.push_back(request);
+    requests_.push_back(RequestFromArrival(events[i], requests_.size()));
     Request* r = &requests_.back();
     EventQueue::Pending pending;
     pending.when = deliver_at[i];

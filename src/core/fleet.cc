@@ -12,6 +12,12 @@ namespace {
 
 int ClampShards(int shards, int cells) { return std::max(1, std::min(shards, cells)); }
 
+// Lookahead slots of router decisions batched into one barrier. It bounds
+// the dispatcher's load-snapshot staleness at ~4 * dispatch_latency, so it
+// is part of the simulated protocol (results depend on it; shard and
+// thread counts never change them).
+constexpr int kRouteQuantum = 4;
+
 }  // namespace
 
 ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
@@ -21,15 +27,17 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
       mailboxes_(ClampShards(config.shards, std::max(config.cells, 1))) {
   const int cells = std::max(config_.cells, 1);
   // The dispatch channel only exists when there is more than one cell to
-  // route between; a single cell gets one unbounded (exact) epoch. The
-  // reserved channels would tighten the lookahead here once implemented.
-  CrossShardChannels channels;
+  // route between; a single cell gets one unbounded (exact) epoch.
   if (cells > 1) {
-    assert(config_.dispatch_latency > 0.0 &&
-           "conservative sync needs a positive dispatch latency");
-    channels.dispatch = config_.dispatch_latency;
+    if (!(config_.dispatch_latency > 0.0)) {
+      std::fprintf(stderr,
+                   "ShardedFleet: dispatch_latency %g must be > 0 with %d cells "
+                   "(it is the conservative lookahead)\n",
+                   config_.dispatch_latency, cells);
+      std::abort();
+    }
+    lookahead_ = config_.dispatch_latency;
   }
-  lookahead_ = ConservativeLookahead(channels);
 
   cells_.reserve(static_cast<size_t>(cells));
   simsan_.reserve(static_cast<size_t>(cells));
@@ -145,38 +153,27 @@ ShardedSim::EpochPlan ShardedFleet::PlanEpoch() {
   // Next observable time: the earliest unrouted arrival or pending
   // control-plane effect (an in-flight delivery, or — while leaderless —
   // the next protocol event that can elect a leader and replay). Cells
-  // cannot emit cross-shard traffic today (no cell-originated channel is
-  // implemented), so cell-local events never bound the window — unless a
-  // reserved cross_cell_* channel is enabled, in which case every cell's
-  // earliest event becomes observable and router batching would leak stale
-  // state: collapse to exact one-slot windows.
+  // emit no cross-cell traffic, so cell-local events never bound the
+  // window.
   TimePoint next_observable =
       next_arrival_ < trace.size() ? trace[next_arrival_].time : kTimeNever;
   next_observable = std::min(next_observable, ctrl_->NextPendingTime());
-  int quantum = config_.epoch_skipping ? std::max(config_.route_quantum, 1) : 1;
-  if (config_.cross_cell_kv || config_.cross_cell_autoscale) {
-    for (const std::unique_ptr<AegaeonCluster>& cell : cells_) {
-      next_observable = std::min(next_observable, cell->NextEventTime());
-    }
-    quantum = 1;
-  }
   // Snap the window to the lookahead grid slot holding the next observable
-  // time, then extend it to `quantum` slots. Grid times are a pure function
-  // of (trace, lookahead, quantum, fault plan), so every shard count sees
+  // time, then extend it to kRouteQuantum slots. Grid times are a pure
+  // function of (trace, lookahead, fault plan), so every shard count sees
   // identical barriers. Slots between the previous barrier and the window
   // start are dead — no arrival, no pending cross-cell event — and are
   // skipped without a barrier; the batched slots past the first also save
   // a barrier each, so both are counted as skipped.
   const TimePoint base = std::floor(next_observable / lookahead_) * lookahead_;
-  const TimePoint horizon = base + static_cast<double>(quantum) * lookahead_;
+  const TimePoint horizon = base + static_cast<double>(kRouteQuantum) * lookahead_;
   plan.slots_skipped =
       static_cast<uint64_t>(std::llround((horizon - barrier_) / lookahead_)) - 1;
   while (next_arrival_ < trace.size() && trace[next_arrival_].time < horizon) {
     // Routing goes through the control plane: with a live leader and no
     // imminent dispatcher crash the arrival commits immediately at
     // event.time + dispatch_latency (the exact pre-replication delivery
-    // time — with quantum == 1 that is >= the horizon, and with a wider
-    // window it may land inside this window, still causally safe because
+    // time — it may land inside this window, still causally safe because
     // delivery happens here at the barrier, before any cell advances).
     // Otherwise it enters the re-dispatch pipeline.
     ctrl_->Offer(trace[next_arrival_++]);
@@ -225,12 +222,16 @@ void ShardedFleet::DeliverMailboxes() {
   touched_cells_.clear();
 }
 
+bool ShardedFleet::CellHasWork(int cell, TimePoint horizon) {
+  AegaeonCluster& c = *cells_[static_cast<size_t>(cell)];
+  return horizon >= kTimeNever ? c.pending() : c.NextEventTime() <= horizon;
+}
+
 bool ShardedFleet::ShardHasWork(int shard, TimePoint horizon) {
   int begin = 0, end = 0;
   ShardRange(shard, &begin, &end);
   for (int i = begin; i < end; ++i) {
-    AegaeonCluster& cell = *cells_[static_cast<size_t>(i)];
-    if (horizon >= kTimeNever ? cell.pending() : cell.NextEventTime() <= horizon) {
+    if (CellHasWork(i, horizon)) {
       return true;
     }
   }
@@ -262,31 +263,22 @@ RunMetrics ShardedFleet::Run(const std::vector<ArrivalEvent>& trace) {
     }
   });
 
-  // The idle probe is only wired up under epoch skipping; the pre-skip
-  // protocol advanced (and clock-pinned) every cell every epoch, and the
-  // off mode reproduces that exactly.
-  std::function<bool(int, TimePoint)> has_work;
-  if (config_.epoch_skipping) {
-    has_work = [this](int shard, TimePoint horizon) { return ShardHasWork(shard, horizon); };
-  }
-
   sharded_.Run(
-      [this] { return PlanEpoch(); }, has_work,
+      [this] { return PlanEpoch(); },
+      [this](int shard, TimePoint horizon) { return ShardHasWork(shard, horizon); },
       [this](int shard, TimePoint horizon) {
         int begin = 0, end = 0;
         ShardRange(shard, &begin, &end);
         uint64_t processed = 0;
         for (int i = begin; i < end; ++i) {
-          AegaeonCluster& cell = *cells_[static_cast<size_t>(i)];
-          if (config_.epoch_skipping) {
-            // Per-cell idle skip: the predicate depends only on this cell's
-            // own queue and the global horizon sequence, so the outcome —
-            // including the skipped cell's unpinned clock — is identical
-            // for every shard count.
-            if (horizon >= kTimeNever ? !cell.pending() : cell.NextEventTime() > horizon) {
-              continue;
-            }
+          // Per-cell idle skip: the predicate depends only on this cell's
+          // own queue and the global horizon sequence, so the outcome —
+          // including the skipped cell's unpinned clock — is identical for
+          // every shard count.
+          if (!CellHasWork(i, horizon)) {
+            continue;
           }
+          AegaeonCluster& cell = *cells_[static_cast<size_t>(i)];
           simsan::SimSan& checker = *simsan_[static_cast<size_t>(i)];
           simsan::ScopedInstance scope(checker);
           processed += horizon >= kTimeNever ? cell.AdvanceAll() : cell.AdvanceUntil(horizon);
@@ -324,8 +316,6 @@ RunMetrics ShardedFleet::Run(const std::vector<ArrivalEvent>& trace) {
 
 FleetAudit ShardedFleet::audit() const {
   FleetAudit audit;
-  audit.epochs = sharded_.epochs();
-  audit.epochs_skipped = sharded_.epochs_skipped();
   {
     MutexLock lock(overrun_mu_);
     audit.sync_overruns = sync_overruns_;

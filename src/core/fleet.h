@@ -8,7 +8,7 @@
 // Dispatcher policy (ctrl/dispatcher.h; default: least outstanding work);
 // routed requests reach their cell after `dispatch_latency` (the fleet
 // router / network hop). Cells never interact otherwise — KV migration and
-// autoscaling stay cell-local (the cross_cell_* flags reserve the channels).
+// autoscaling stay cell-local, so the routing hop is the only channel.
 //
 // Control plane. Every arrival flows through a replicated ControlPlane
 // (ctrl/control_plane.h): with `ctrl.replicas` == 1 and no scheduled
@@ -27,22 +27,21 @@
 // (through deterministic EpochMailboxes), then every shard with runnable
 // work advances its cells to the epoch horizon on a gang of persistent
 // workers. The epoch window is a whole number of conservative-lookahead
-// slots (lookahead = the minimum enabled cross-cell channel latency, i.e.
-// `dispatch_latency`): the barrier snaps past slots in which nothing
-// observable happens and, with `epoch_skipping` on, batches up to
-// `route_quantum` slots of router decisions per barrier. Everything a cell
-// does within an epoch is invisible to other cells until after the barrier
-// (no enabled cell-originated channel), so the parallel advance cannot
-// reorder observable events.
+// slots (lookahead = `dispatch_latency`): the barrier snaps past slots in
+// which nothing observable happens and batches up to four slots of router
+// decisions per barrier. Everything a cell does within an epoch is
+// invisible to other cells until after the barrier (cells originate no
+// cross-cell traffic), so the parallel advance cannot reorder observable
+// events.
 //
 // Determinism. Epoch boundaries, dispatch decisions, mailbox order, and
 // the per-cell idle-skip probe are computed serially from trace + cell
 // state alone; shards own disjoint state during the advance. RunMetrics
 // are therefore bit-identical for every shard count, including shards == 1,
-// and every worker count. `route_quantum` IS part of the simulated
-// configuration (it widens the dispatcher's snapshot staleness bound to
-// ~quantum * lookahead); changing it changes results, changing shards or
-// threads never does. With cells == 1 the lookahead is infinite (a single
+// and every worker count. The four-slot routing quantum widens the
+// dispatcher's snapshot staleness bound to ~4 * lookahead, so it is part
+// of the simulated protocol; changing shards or threads never changes
+// results. With cells == 1 the lookahead is infinite (a single
 // cell has no cross-cell channel): the run collapses to one epoch and,
 // with dispatch_latency == 0, reproduces a plain AegaeonCluster::Run
 // exactly. See DESIGN.md §8.
@@ -90,26 +89,8 @@ struct FleetConfig {
   // the outer pool with ParallelSweep::ThreadsForNested(shards).
   int threads = 0;
   // Latency of the fleet router -> cell hop; the conservative lookahead.
-  // Must be > 0 when cells > 1.
+  // Must be > 0 when cells > 1 (the constructor aborts otherwise).
   Duration dispatch_latency = 0.05;
-  // Reserved cross-cell channels (would tighten the lookahead when enabled;
-  // no fleet-level implementation yet).
-  bool cross_cell_kv = false;
-  bool cross_cell_autoscale = false;
-  // Epoch-skipping conservative sync. Off: one barrier per occupied
-  // lookahead slot and every cell advances (and pins its clock) every
-  // epoch — the exact pre-skip protocol. On: the barrier batches router
-  // decisions for up to `route_quantum` lookahead slots per epoch and
-  // cells/shards with no runnable event inside the window sit the epoch
-  // out. `route_quantum` bounds the dispatcher's load-snapshot staleness
-  // at ~route_quantum * dispatch_latency, so it is part of the simulated
-  // configuration: results are bit-identical across shards/threads for any
-  // fixed value, but differ between values (and between skipping on/off).
-  // Forced to 1 whenever a cell-originated channel (cross_cell_*) is
-  // enabled, because then cells can emit observable cross-shard traffic
-  // mid-window.
-  bool epoch_skipping = true;
-  int route_quantum = 4;
   // Dispatcher replication (ctrl/control_plane.h). The default (1 replica,
   // no scheduled crash) reproduces the unreplicated fleet bit for bit.
   ControlPlaneConfig ctrl;
@@ -119,15 +100,15 @@ struct FleetConfig {
 
 // Pooled sanitizer + protocol health of a fleet run.
 struct FleetAudit {
-  uint64_t epochs = 0;
-  uint64_t epochs_skipped = 0;  // lookahead slots jumped without a barrier
-  uint64_t checks = 0;          // SimSan checks across all cells (0 when off)
-  uint64_t violations = 0;      // SimSan violations across all cells
-  uint64_t sync_overruns = 0;   // cell shadow watermark crossed an epoch horizon
+  uint64_t checks = 0;         // SimSan checks across all cells (0 when off)
+  uint64_t violations = 0;     // SimSan violations across all cells
+  uint64_t sync_overruns = 0;  // cell shadow watermark crossed an epoch horizon
 };
 
 class ShardedFleet {
  public:
+  // Aborts when cells > 1 and dispatch_latency <= 0 (the conservative
+  // protocol would make no progress).
   ShardedFleet(FleetConfig config, const ModelRegistry& registry, const GpuSpec& gpu_spec);
   ~ShardedFleet();
 
@@ -190,6 +171,9 @@ class ShardedFleet {
   // batched InjectArrivals per touched cell, each event at its own
   // committed delivery time.
   void DeliverMailboxes();
+  // True when `cell` can process an event at or before `horizon` (any
+  // pending event for the final drain epoch). Reads only that cell.
+  bool CellHasWork(int cell, TimePoint horizon);
   // True when any cell of `shard` can process an event at or before
   // `horizon` (serial barrier stage only).
   bool ShardHasWork(int shard, TimePoint horizon);

@@ -3,6 +3,7 @@
 #ifndef AEGAEON_CORE_REQUEST_H_
 #define AEGAEON_CORE_REQUEST_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -98,6 +99,21 @@ struct ArrivalEvent {
   // Proxy shedding priority (higher = shed last); ignored without a proxy.
   int priority = 0;
 };
+
+// The request an arrival opens, numbered `id` by its serving system. Its
+// arrival stays the client-observed time: dispatch delay (and a fleet
+// failover's replay detour) surfaces as prefill wait / TTFT, not as a
+// shifted arrival. Every request generates at least one token.
+inline Request RequestFromArrival(const ArrivalEvent& event, RequestId id) {
+  Request request;
+  request.id = id;
+  request.model = event.model;
+  request.prompt_tokens = event.prompt_tokens;
+  request.output_tokens = std::max<int64_t>(1, event.output_tokens);
+  request.arrival = event.time;
+  request.priority = event.priority;
+  return request;
+}
 
 }  // namespace aegaeon
 

@@ -84,21 +84,6 @@ class TransferEngine {
     }
   };
 
-  // Lower bound on the latency of migrating any KV handle across the
-  // inter-node fabric: even a single block takes its serialization time
-  // plus the per-op control cost. The sharded fleet uses this as the
-  // KV-migration channel latency in its conservative lookahead — no
-  // cross-cell migration can take effect sooner, so shards may safely run
-  // ahead by this much. `block_bytes` is the smallest registered KV block;
-  // `bandwidth` the fabric rate in bytes/sec.
-  static Duration MinMigrationLatency(double block_bytes, double bandwidth,
-                                      Duration control_cost_per_op) {
-    if (bandwidth <= 0.0) {
-      return kTimeNever;
-    }
-    return block_bytes / bandwidth + control_cost_per_op;
-  }
-
   // `control_cost_per_op`: modeled CPU cost of updating unified-cache
   // indices and creating/sharing events for one transfer.
   explicit TransferEngine(Duration control_cost_per_op = 0.0005)

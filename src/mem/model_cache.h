@@ -82,7 +82,7 @@ class ModelCache {
   double remote_bw_;
   double used_ = 0.0;
   // Ordered maps: eviction decisions must not depend on hash iteration
-  // order (see tools/determinism_lint.sh).
+  // order (aegaeon_lint's unordered-container rule).
   std::map<ModelId, Entry> entries_;
   std::list<ModelId> lru_;  // front = most recent
   uint64_t hits_ = 0;

@@ -100,8 +100,6 @@ std::vector<EventQueue::Pending> EventQueue::Drain() {
   return out;
 }
 
-void EventQueue::Merge(std::vector<Pending> events) { Merge(events.data(), events.size()); }
-
 void EventQueue::Merge(Pending* events, size_t count) {
   if (count == 0) {
     return;

@@ -64,17 +64,14 @@ class EventQueue {
   // simulator's epoch rollovers rely on when moving events between queues.
   std::vector<Pending> Drain();
 
-  // Bulk-schedules `events` in input order (FIFO tie-break preserved for
-  // equal timestamps). Equivalent to Push() per event but amortizes the
-  // heap maintenance: once the batch rivals the live heap it appends
-  // everything and rebuilds once instead of sifting per event. Safe at
-  // epoch boundaries: tombstones pending compaction are untouched and
-  // outstanding EventIds stay valid.
-  void Merge(std::vector<Pending> events);
-
-  // Range form: moves the callbacks out of [events, events + count) but
-  // leaves the storage with the caller, so a reused scratch vector keeps
-  // its capacity across epochs — the sharded fleet's zero-steady-state-
+  // Bulk-schedules [events, events + count) in input order (FIFO tie-break
+  // preserved for equal timestamps). Equivalent to Push() per event but
+  // amortizes the heap maintenance: once the batch rivals the live heap it
+  // appends everything and rebuilds once instead of sifting per event.
+  // Safe at epoch boundaries: tombstones pending compaction are untouched
+  // and outstanding EventIds stay valid. Moves the callbacks out but leaves
+  // the storage with the caller, so a reused scratch vector keeps its
+  // capacity across epochs — the sharded fleet's zero-steady-state-
   // allocation injection path.
   void Merge(Pending* events, size_t count);
 

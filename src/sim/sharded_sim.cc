@@ -7,14 +7,6 @@
 
 namespace aegaeon {
 
-Duration ConservativeLookahead(const CrossShardChannels& channels, Duration floor) {
-  Duration lookahead = std::min({channels.dispatch, channels.kv_migration, channels.autoscale});
-  if (lookahead >= kTimeNever) {
-    return kTimeNever;
-  }
-  return std::max(lookahead, floor);
-}
-
 ShardedSim::ShardedSim(int shards, int threads)
     : shards_(std::max(shards, 1)),
       // Default gang width: never more workers than shards (the extras would
@@ -53,19 +45,14 @@ uint64_t ShardedSim::Run(const std::function<EpochPlan()>& plan,
     // Serial idle probe: identical for every worker count because it runs
     // with all shards quiescent and reads only shard-owned state.
     bool any_active = false;
-    if (has_work) {
-      for (int shard = 0; shard < shards_; ++shard) {
-        const bool active = has_work(shard, horizon);
-        active_[static_cast<size_t>(shard)] = active ? 1 : 0;
-        if (active) {
-          any_active = true;
-        } else {
-          ++shard_perf_[static_cast<size_t>(shard)].idle_shard_skips;
-        }
+    for (int shard = 0; shard < shards_; ++shard) {
+      const bool active = has_work(shard, horizon);
+      active_[static_cast<size_t>(shard)] = active ? 1 : 0;
+      if (active) {
+        any_active = true;
+      } else {
+        ++shard_perf_[static_cast<size_t>(shard)].idle_shard_skips;
       }
-    } else {
-      std::fill(active_.begin(), active_.end(), 1);
-      any_active = true;
     }
     if (any_active) {
       gang_.Run(epoch, &active_);

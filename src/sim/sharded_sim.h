@@ -3,10 +3,10 @@
 // The fleet (src/core/fleet.h) partitions a large GPU pool into cells and
 // groups the cells into K shards. Each shard owns its own event queues and
 // advances independently — but only up to a horizon no shard may cross, the
-// *conservative lookahead*: the minimum latency of any channel through which
-// one shard can affect another (request dispatch, KV migration, autoscale
-// decisions). Anything a shard does before the horizon cannot be observed by
-// another shard until at least one lookahead later, so running the shards in
+// *conservative lookahead*: the latency of the one channel through which a
+// shard can be affected from outside (the fleet's request dispatch hop).
+// Anything a shard does before the horizon cannot be observed by another
+// shard until at least one lookahead later, so running the shards in
 // parallel within an epoch cannot reorder observable events.
 //
 // ShardedSim is the executor for that protocol. Run() alternates two stages:
@@ -46,23 +46,6 @@
 #include "sim/time.h"
 
 namespace aegaeon {
-
-// Latencies of the channels through which one shard can affect another.
-// kTimeNever marks a channel disabled (no such interaction in this
-// configuration). The conservative lookahead is the minimum enabled latency;
-// if every channel is disabled the shards never interact and a single
-// unbounded epoch is exact.
-struct CrossShardChannels {
-  Duration dispatch = kTimeNever;      // fleet dispatcher -> cell injection
-  Duration kv_migration = kTimeNever;  // cross-cell KV transfer (reserved)
-  Duration autoscale = kTimeNever;     // fleet-level scaling loop (reserved)
-};
-
-// Minimum enabled channel latency; kTimeNever when all channels are
-// disabled. A zero-latency enabled channel is a configuration error (the
-// conservative protocol would make no progress) and is clamped to the
-// smallest positive epoch the caller provides via `floor`.
-Duration ConservativeLookahead(const CrossShardChannels& channels, Duration floor = 1e-6);
 
 class ShardedSim {
  public:
@@ -111,10 +94,10 @@ class ShardedSim {
   // with all shards quiescent and returns the next epoch's horizon (plus
   // the slots it skipped), kTimeNever requesting a final drain epoch
   // (advance every shard until its queue is empty) after which the loop
-  // ends. `has_work`, when non-null, is probed serially after each plan:
-  // shards for which it returns false are counted in idle_shard_skips and
-  // not run this epoch — it must answer "could this shard process any event
-  // at or before this horizon?". `advance` runs on the gang with exclusive
+  // ends. `has_work` is probed serially after each plan: shards for which
+  // it returns false are counted in idle_shard_skips and not run this
+  // epoch — it must answer "could this shard process any event at or
+  // before this horizon?". `advance` runs on the gang with exclusive
   // ownership of its shard; it must process events only up to the given
   // horizon and return how many it processed. Returns the number of epochs
   // executed by this call.

@@ -26,10 +26,6 @@ EventId Simulator::After(Duration delay, EventQueue::Callback cb) {
   return At(now_ + std::max(delay, 0.0), std::move(cb));
 }
 
-void Simulator::ScheduleBatch(std::vector<EventQueue::Pending> batch) {
-  ScheduleBatch(batch.data(), batch.size());
-}
-
 void Simulator::ScheduleBatch(EventQueue::Pending* batch, size_t count) {
   for (size_t i = 0; i < count; ++i) {
     batch[i].when = std::max(batch[i].when, now_);

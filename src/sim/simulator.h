@@ -66,10 +66,7 @@ class Simulator {
   // clamping past timestamps to Now() like At(). Used by trace loading and
   // the sharded simulator's epoch-boundary mailbox delivery, where pushing
   // thousands of arrivals one heap sift at a time would dominate the
-  // barrier stage.
-  void ScheduleBatch(std::vector<EventQueue::Pending> batch);
-
-  // Range form: consumes the callbacks but leaves the storage with the
+  // barrier stage. Consumes the callbacks but leaves the storage with the
   // caller (see EventQueue::Merge), so injection scratch keeps its capacity.
   void ScheduleBatch(EventQueue::Pending* batch, size_t count);
 

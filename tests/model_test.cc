@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -22,6 +23,21 @@ struct Table1Row {
   double kv_kb;
 };
 
+// Prints the fields, which ctest turns into the test name (gtest's default
+// byte dump includes the heap pointer of `spec.name`). The shape prints as
+// e.g. 32x2x32x128, without the parentheses and spaces of its ToString.
+void PrintTo(const Table1Row& row, std::ostream* os) {
+  *os << row.spec.name << "_shape";
+  for (char c : row.shape) {
+    if (c == ',') {
+      *os << 'x';
+    } else if (c != '(' && c != ')' && c != ' ') {
+      *os << c;
+    }
+  }
+  *os << "_kv" << row.kv_kb << "KB";
+}
+
 class Table1Test : public ::testing::TestWithParam<Table1Row> {};
 
 TEST_P(Table1Test, ShapeAndSizeMatchPaper) {
@@ -35,16 +51,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Table1Row{ModelSpec::Qwen7B(), "(32, 2, 32, 128)", 512.0},
                       Table1Row{ModelSpec::InternLm2_7B(), "(32, 2, 8, 128)", 128.0},
                       Table1Row{ModelSpec::Llama13B(), "(40, 2, 40, 128)", 800.0},
-                      Table1Row{ModelSpec::Qwen72B(), "(80, 2, 64, 128)", 2560.0}),
-    [](const ::testing::TestParamInfo<Table1Row>& info) {
-      std::string name = info.param.spec.name;
-      for (char& c : name) {
-        if (!isalnum(static_cast<unsigned char>(c))) {
-          c = '_';
-        }
-      }
-      return name;
-    });
+                      Table1Row{ModelSpec::Qwen72B(), "(80, 2, 64, 128)", 2560.0}));
 
 TEST(ModelSpecTest, WeightBytesFollowParamCount) {
   EXPECT_DOUBLE_EQ(ModelSpec::Llama13B().weight_bytes(), 26e9);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "core/cluster.h"
@@ -25,6 +26,14 @@ struct SweepParam {
   int residents;
   int64_t chunk;
 };
+
+// Prints the fields, which ctest turns into the test name (gtest's default
+// byte dump includes the padding after `models`, which varies per process).
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_models" << p.models << "_rps" << p.rps << "_p" << p.prefill
+      << "d" << p.decode << "_nodes" << p.nodes << "_residents" << p.residents << "_chunk"
+      << p.chunk;
+}
 
 class ClusterPropertyTest : public ::testing::TestWithParam<SweepParam> {};
 

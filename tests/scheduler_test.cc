@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "core/decode_scheduler.h"
@@ -224,6 +225,12 @@ struct QuotaSweepParam {
   double tbt;
   double c;
 };
+
+// Prints the fields, which ctest turns into the test name (gtest's default
+// byte dump includes the padding after `batches`, which varies per process).
+void PrintTo(const QuotaSweepParam& p, std::ostream* os) {
+  *os << "batches" << p.batches << "_step" << p.step_time << "_tbt" << p.tbt << "_c" << p.c;
+}
 
 class QuotaSweepTest : public ::testing::TestWithParam<QuotaSweepParam> {};
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "core/cluster.h"
@@ -115,23 +117,6 @@ TEST(MailboxTest, CollectIntoReusesScratchAndArenas) {
   EXPECT_EQ(scratch.capacity(), warm_capacity);
 }
 
-TEST(ConservativeLookaheadTest, MinOfEnabledChannels) {
-  CrossShardChannels none;
-  EXPECT_EQ(ConservativeLookahead(none), kTimeNever);
-  CrossShardChannels dispatch_only;
-  dispatch_only.dispatch = 0.05;
-  EXPECT_DOUBLE_EQ(ConservativeLookahead(dispatch_only), 0.05);
-  CrossShardChannels all;
-  all.dispatch = 0.05;
-  all.kv_migration = 0.002;
-  all.autoscale = 1.0;
-  EXPECT_DOUBLE_EQ(ConservativeLookahead(all), 0.002);
-  // A zero-latency channel clamps to the floor instead of stalling.
-  CrossShardChannels zero;
-  zero.dispatch = 0.0;
-  EXPECT_DOUBLE_EQ(ConservativeLookahead(zero, 1e-6), 1e-6);
-}
-
 TEST(ShardedSimTest, EpochLoopRunsPlanAndAdvance) {
   ShardedSim sharded(4, 2);
   int planned = 0;
@@ -146,7 +131,7 @@ TEST(ShardedSimTest, EpochLoopRunsPlanAndAdvance) {
         }
         return plan;
       },
-      /*has_work=*/{},
+      /*has_work=*/[](int, TimePoint) { return true; },
       [&](int shard, TimePoint horizon) {
         (void)horizon;
         advances[static_cast<size_t>(shard)]++;
@@ -271,8 +256,8 @@ TEST(ShardedFleetTest, SingleCellReproducesSerialClusterExactly) {
 
 // The tentpole determinism contract: for a fixed cell decomposition the
 // shard count is parallelism only — RunMetrics are bit-identical for
-// shards in {1, 2, 4, 8}, with epoch skipping on (default) AND off.
-void ExpectShardCountInvariant(bool epoch_skipping) {
+// shards in {1, 2, 4, 8}.
+TEST(ShardedFleetTest, ResultsBitIdenticalAcrossShardCounts) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(12);
   auto trace = FleetTrace(registry, 1.0, 90.0, 11);
 
@@ -284,7 +269,6 @@ void ExpectShardCountInvariant(bool epoch_skipping) {
     config.cells = 8;
     config.shards = shards;
     config.threads = 4;
-    config.epoch_skipping = epoch_skipping;
     config.cell = SmallCell();
     ShardedFleet fleet(config, registry, GpuSpec::H800());
     results.push_back(fleet.Run(trace));
@@ -304,44 +288,34 @@ void ExpectShardCountInvariant(bool epoch_skipping) {
   EXPECT_GT(results[0].sync_epochs, 1u);
 }
 
-TEST(ShardedFleetTest, ResultsBitIdenticalAcrossShardCounts) {
-  ExpectShardCountInvariant(/*epoch_skipping=*/true);
-}
-
-TEST(ShardedFleetTest, ResultsBitIdenticalAcrossShardCountsWithSkippingOff) {
-  ExpectShardCountInvariant(/*epoch_skipping=*/false);
-}
-
 // The tentpole win: on a dense trace (every lookahead slot occupied), the
-// quantum-batched barrier executes at least 2x fewer epochs than the
-// one-slot-per-barrier protocol, and reports what it skipped.
+// quantum-batched barrier executes at least 2x fewer epochs than a
+// one-slot-per-barrier protocol would — one epoch per occupied lookahead
+// slot plus the drain epoch — and reports what it skipped.
 TEST(ShardedFleetTest, EpochSkippingHalvesEpochCountOnDenseTraces) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(12);
   auto trace = FleetTrace(registry, 20.0, 45.0, 17);
 
-  uint64_t epochs_by_mode[2] = {0, 0};
-  for (const bool skipping : {false, true}) {
-    FleetConfig config;
-    config.cells = 8;
-    config.shards = 4;
-    config.threads = 2;
-    config.epoch_skipping = skipping;
-    config.cell = SmallCell();
-    ShardedFleet fleet(config, registry, GpuSpec::H800());
-    RunMetrics metrics = fleet.Run(trace);
-    epochs_by_mode[skipping ? 1 : 0] = fleet.epochs();
-    EXPECT_EQ(metrics.total_requests, trace.size());
-    // Both modes report what they snap past (the off mode still fast-
-    // forwards dead arrival slots, as the pre-skip protocol always did);
-    // the quantum batching makes the on mode skip strictly more.
-    EXPECT_EQ(metrics.sync_epochs_skipped, fleet.epochs_skipped());
-    if (skipping) {
-      EXPECT_GT(metrics.sync_epochs_skipped, 0u);
-    }
-    EXPECT_EQ(fleet.audit().sync_overruns, 0u);
+  FleetConfig config;
+  config.cells = 8;
+  config.shards = 4;
+  config.threads = 2;
+  config.cell = SmallCell();
+  ShardedFleet fleet(config, registry, GpuSpec::H800());
+  RunMetrics metrics = fleet.Run(trace);
+  EXPECT_EQ(metrics.total_requests, trace.size());
+  EXPECT_EQ(metrics.sync_epochs_skipped, fleet.epochs_skipped());
+  EXPECT_GT(metrics.sync_epochs_skipped, 0u);
+  EXPECT_EQ(fleet.audit().sync_overruns, 0u);
+
+  std::set<double> occupied_slots;
+  for (const ArrivalEvent& event : trace) {
+    occupied_slots.insert(std::floor(event.time / fleet.lookahead()));
   }
-  EXPECT_GE(epochs_by_mode[0], 2 * epochs_by_mode[1])
-      << "skipping on: " << epochs_by_mode[1] << " epochs, off: " << epochs_by_mode[0];
+  const uint64_t one_slot_epochs = occupied_slots.size() + 1;
+  EXPECT_EQ(one_slot_epochs, 901u);  // every 50 ms slot of the 45 s trace
+  EXPECT_GE(one_slot_epochs, 2 * fleet.epochs())
+      << "skipping: " << fleet.epochs() << " epochs, one slot per epoch: " << one_slot_epochs;
 }
 
 TEST(ShardedFleetTest, DispatcherBalancesLoadAcrossCells) {
@@ -396,6 +370,19 @@ TEST(ShardedFleetTest, DispatchLatencyShowsUpInTtft) {
   EXPECT_DOUBLE_EQ(fleet.lookahead(), 0.5);
 }
 
+// A multi-cell fleet needs a positive dispatch latency: it is the
+// conservative lookahead, and a zero epoch would never advance.
+TEST(ShardedFleetDeathTest, NonPositiveDispatchLatencyAborts) {
+  ModelRegistry registry = ModelRegistry::MidSizeMarket(4);
+  FleetConfig config;
+  config.cells = 2;
+  config.cell = SmallCell();
+  config.dispatch_latency = 0.0;
+  EXPECT_DEATH({ ShardedFleet fleet(config, registry, GpuSpec::H800()); }, "dispatch_latency");
+  config.dispatch_latency = -0.05;
+  EXPECT_DEATH({ ShardedFleet fleet(config, registry, GpuSpec::H800()); }, "dispatch_latency");
+}
+
 // The per-cell SimSan audit: a sharded run must be violation-free with
 // every check attributed, and no cell may overrun an epoch horizon. With
 // SimSan compiled out the checks are zero but the protocol audit
@@ -411,13 +398,12 @@ TEST(ShardedFleetTest, AuditIsCleanUnderConservativeSync) {
   ShardedFleet fleet(config, registry, GpuSpec::H800());
   RunMetrics metrics = fleet.Run(trace);
   FleetAudit audit = fleet.audit();
-  EXPECT_EQ(audit.epochs, fleet.epochs());
   EXPECT_EQ(audit.violations, 0u);
   EXPECT_EQ(audit.sync_overruns, 0u);
 #if AEGAEON_SIMSAN_ENABLED
   EXPECT_GT(audit.checks, 0u);
 #endif
-  EXPECT_EQ(metrics.sync_epochs, audit.epochs);
+  EXPECT_EQ(metrics.sync_epochs, fleet.epochs());
   EXPECT_EQ(metrics.completed_requests, metrics.total_requests);
 }
 

@@ -288,7 +288,7 @@ TEST(EventQueueTest, DrainInvalidatesIdsAcrossEpochRollovers) {
   ASSERT_EQ(pending.size(), 1u);
   // The drained slot gets reused immediately by the merge; the pre-drain id
   // must still be rejected (generation bump), not cancel the new tenant.
-  queue.Merge(std::move(pending));
+  queue.Merge(pending.data(), pending.size());
   EXPECT_EQ(queue.size(), 1u);
   EXPECT_FALSE(queue.Cancel(stale));
   EXPECT_EQ(queue.size(), 1u);
@@ -296,7 +296,7 @@ TEST(EventQueueTest, DrainInvalidatesIdsAcrossEpochRollovers) {
   for (int epoch = 0; epoch < 4; ++epoch) {
     EventId id = queue.Push(2.0 + epoch, [] {});
     auto batch = queue.Drain();
-    queue.Merge(std::move(batch));
+    queue.Merge(batch.data(), batch.size());
     EXPECT_FALSE(queue.Cancel(id)) << "epoch " << epoch;
   }
   EXPECT_EQ(queue.size(), 5u);
@@ -324,7 +324,7 @@ TEST(EventQueueTest, MergePreservesFifoAgainstExistingEvents) {
     p.cb = [&order, i] { order.push_back(i); };
     batch.push_back(std::move(p));
   }
-  queue.Merge(std::move(batch));
+  queue.Merge(batch.data(), batch.size());
   EXPECT_EQ(queue.size(), 4u);
   while (!queue.empty()) {
     queue.PopAndRun();
@@ -346,7 +346,7 @@ TEST(EventQueueTest, MergeSmallBatchIntoLargeHeapSifts) {
   odd.when = 3.0;
   odd.cb = [&fired] { fired.push_back(3.0); };
   small.push_back(std::move(odd));
-  queue.Merge(std::move(small));  // 1 vs 100: sift path
+  queue.Merge(small.data(), small.size());  // 1 vs 100: sift path
   EXPECT_EQ(queue.size(), 101u);
   while (!queue.empty()) {
     queue.PopAndRun();
@@ -366,7 +366,7 @@ TEST(SimulatorTest, ScheduleBatchClampsPastTimestamps) {
   past.when = 1.0;  // before Now(): must clamp like At()
   past.cb = [&seen, &sim] { seen.push_back(sim.Now()); };
   batch.push_back(std::move(past));
-  sim.ScheduleBatch(std::move(batch));
+  sim.ScheduleBatch(batch.data(), batch.size());
   sim.Run();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[1], 5.0);

@@ -21,8 +21,7 @@ int Usage(std::ostream& os, int code) {
         "(config, trace, seed)) or the threaded executors' discipline.\n"
         "Paths may be directories (scanned recursively for *.h, *.cc, *.cpp)\n"
         "or single files; the default is `src`, relative to the current\n"
-        "directory — run from the repo root, or through the\n"
-        "tools/determinism_lint.sh wrapper which does that for you.\n"
+        "directory, so run it from the repo root.\n"
         "\n"
         "options:\n"
         "  --list-rules     print every rule id with its description and exit\n"

@@ -60,8 +60,6 @@ struct Options {
   int cells = 1;
   int shards = 1;
   double dispatch_latency = 0.05;
-  bool epoch_skipping = true;
-  int route_quantum = 4;
   int ctrl_replicas = 1;
   // Fault specs in flag order (ctrl/fault_plan.h syntax); --kill-dispatcher
   // and --aging-drift are sugar that appends here too.
@@ -95,10 +93,6 @@ void Usage() {
       "  --shards N     parallel shards for the fleet executor (default 1; results\n"
       "                 are bit-identical for any value)\n"
       "  --dispatch-latency S  fleet router -> cell hop in seconds (default 0.05)\n"
-      "  --route-quantum N     lookahead slots routed per fleet barrier (default 4;\n"
-      "                 part of the simulated config — changes router staleness)\n"
-      "  --no-epoch-skip       step the fleet barrier one lookahead at a time\n"
-      "                 (pre-skip protocol; advances every cell every epoch)\n"
       "  --ctrl-replicas N     dispatcher replicas for the fleet control plane\n"
       "                 (default 1 = replication off; aegaeon only)\n"
       "  --fail SPEC    schedule a fault (repeatable; aegaeon only):\n"
@@ -197,10 +191,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       opts.shards = std::atoi(next("--shards"));
     } else if (arg == "--dispatch-latency") {
       opts.dispatch_latency = std::atof(next("--dispatch-latency"));
-    } else if (arg == "--route-quantum") {
-      opts.route_quantum = std::atoi(next("--route-quantum"));
-    } else if (arg == "--no-epoch-skip") {
-      opts.epoch_skipping = false;
     } else if (arg == "--ctrl-replicas") {
       opts.ctrl_replicas = std::atoi(next("--ctrl-replicas"));
     } else if (arg == "--fail") {
@@ -232,10 +222,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
   }
   if (opts.cells > 1 && opts.dispatch_latency <= 0.0) {
     std::fprintf(stderr, "--dispatch-latency must be > 0 when --cells > 1\n");
-    return false;
-  }
-  if (opts.route_quantum < 1) {
-    std::fprintf(stderr, "--route-quantum must be >= 1\n");
     return false;
   }
   if (opts.ctrl_replicas < 1) {
@@ -352,8 +338,6 @@ int main(int argc, char** argv) {
     config.cells = opts.cells;
     config.shards = opts.shards;
     config.dispatch_latency = opts.dispatch_latency;
-    config.epoch_skipping = opts.epoch_skipping;
-    config.route_quantum = opts.route_quantum;
     config.ctrl.replicas = opts.ctrl_replicas;
     config.cell.prefill_instances = opts.prefill;
     config.cell.decode_instances = opts.decode;

@@ -626,24 +626,43 @@ void AegaeonCluster::FinishPrefill(int unit_index, Request* request) {
   // tokens were already delivered.)
 
   // Materialize the KV cache on the prefill GPU, then offload it to the
-  // unified CPU cache for the decode phase (Figure 10, P->C).
-  unit.kv_cache->Reclaim(now);
-  ShapeClassId gpu_shape = ShapeFor(*unit.kv_cache, request->model);
-  std::vector<BlockRef> blocks = unit.kv_cache->AllocTokens(gpu_shape, request->context_tokens());
-  if (blocks.empty()) {
-    // GPU KV congested by in-flight offloads; retry shortly (bounded by the
-    // kv-out stream draining).
-    uint64_t epoch = unit.epoch;
-    sim_.After(kRoundRetryDelay, [this, unit_index, request, epoch] {
+  // unified CPU cache for the decode phase (Figure 10, P->C). The CPU cache
+  // is checked before the GPU blocks are taken, so a prefill that cannot
+  // offload does not allocate GPU blocks only to free them again.
+  uint64_t epoch = unit.epoch;
+  auto retry_after = [this, unit_index, request, epoch](Duration delay) {
+    sim_.After(delay, [this, unit_index, request, epoch] {
       if (prefill_units_[unit_index].epoch == epoch) {
         FinishPrefill(unit_index, request);
       }
     });
+  };
+  UnifiedKvCache& cpu_kv = CpuKvOf(unit.node);
+  ShapeClassId gpu_shape = ShapeFor(*unit.kv_cache, request->model);
+  ShapeClassId cpu_shape = cpu_shape_of_model_[request->model];
+  int64_t tokens = request->context_tokens();
+  unit.kv_cache->Reclaim(now);
+  if (unit.kv_cache->FreeTokens(gpu_shape) >= tokens) {
+    cpu_kv.Reclaim(now);
+    if (cpu_kv.FreeTokens(cpu_shape) < tokens) {
+      // Unified CPU cache exhausted: back off and retry; blocks free as
+      // decoding completes elsewhere. The Alloc fails; it still runs,
+      // because a failed Alloc reorders the shape's slabs.
+      cpu_kv.AllocTokens(cpu_shape, tokens);
+      retry_after(10 * kRoundRetryDelay);
+      return;
+    }
+  }
+  std::vector<BlockRef> blocks = unit.kv_cache->AllocTokens(gpu_shape, tokens);
+  if (blocks.empty()) {
+    // GPU KV congested by in-flight offloads; retry shortly (bounded by the
+    // kv-out stream draining).
+    retry_after(kRoundRetryDelay);
     return;
   }
   request->kv.gpu_shape = gpu_shape;
-  request->kv.cpu_shape = cpu_shape_of_model_[request->model];
-  request->kv.tokens = request->context_tokens();
+  request->kv.cpu_shape = cpu_shape;
+  request->kv.tokens = tokens;
   request->kv.owner = request->id;
   request->kv.blocks = std::move(blocks);
   request->kv.location = KvLocation::kGpu;
@@ -652,21 +671,10 @@ void AegaeonCluster::FinishPrefill(int unit_index, Request* request) {
 
   // Shape ids are identical across caches (same registration order), so the
   // handle's shape stays valid after the swap to the CPU cache.
-  bool out_ok = xfer_.SwapOut(request->kv, *unit.gpu, *unit.kv_cache, CpuKvOf(unit.node), now);
+  bool out_ok = xfer_.SwapOut(request->kv, *unit.gpu, *unit.kv_cache, cpu_kv, now);
+  assert(out_ok && "the CPU cache was checked above");
+  (void)out_ok;
   request->kv.node = unit.node;
-  if (!out_ok) {
-    // Unified CPU cache exhausted: back off and retry; blocks free as
-    // decoding completes elsewhere.
-    unit.kv_cache->Free(request->kv.blocks);
-    request->kv = KvHandle{};
-    uint64_t epoch = unit.epoch;
-    sim_.After(10 * kRoundRetryDelay, [this, unit_index, request, epoch] {
-      if (prefill_units_[unit_index].epoch == epoch) {
-        FinishPrefill(unit_index, request);
-      }
-    });
-    return;
-  }
   request->control_overhead += config_.control_cost_per_decision;
 
   unit.active = nullptr;

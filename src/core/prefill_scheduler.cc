@@ -1,10 +1,18 @@
 #include "core/prefill_scheduler.h"
 
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <utility>
 
 namespace aegaeon {
+namespace {
+
+__int128 ToTicks(Duration d) { return static_cast<__int128>(std::ldexp(d, 64)); }
+
+Duration FromTicks(__int128 t) { return std::ldexp(static_cast<double>(t), -64); }
+
+}  // namespace
 
 PrefillScheduler::PrefillScheduler(int instances, int max_group_size, Estimators estimators)
     : max_group_size_(max_group_size), est_(std::move(estimators)) {
@@ -12,20 +20,31 @@ PrefillScheduler::PrefillScheduler(int instances, int max_group_size, Estimators
   queues_.resize(instances);
 }
 
-Duration PrefillScheduler::LoadEstimate(int i) const {
-  const InstanceQueue& queue = queues_[i];
-  Duration load = 0.0;
-  ModelId previous = est_.current_model(i);
-  for (const Group& group : queue.groups) {
-    if (group.model != previous) {
-      load += est_.switch_estimate(previous, group.model);
-      previous = group.model;
-    }
-    for (const Request* request : group.pending) {
-      load += est_.exec_estimate(*request);
+PrefillScheduler::Ticks PrefillScheduler::ExecTicks(const Request& request) const {
+  return ToTicks(est_.exec_estimate(request));
+}
+
+PrefillScheduler::Ticks PrefillScheduler::SwitchTicks(ModelId from, ModelId to) const {
+  return from == to ? 0 : ToTicks(est_.switch_estimate(from, to));
+}
+
+void PrefillScheduler::PopExhausted(InstanceQueue& queue) const {
+  while (!queue.groups.empty() && queue.groups.front().pending.empty()) {
+    ModelId retired = queue.groups.front().model;
+    queue.groups.pop_front();
+    if (!queue.groups.empty()) {
+      queue.switch_sum -= SwitchTicks(retired, queue.groups.front().model);
     }
   }
-  return load;
+}
+
+Duration PrefillScheduler::LoadEstimate(int i) const {
+  const InstanceQueue& queue = queues_[i];
+  if (queue.groups.empty()) {
+    return 0.0;
+  }
+  Ticks head = SwitchTicks(est_.current_model(i), queue.groups.front().model);
+  return FromTicks(head + queue.switch_sum + queue.exec_sum);
 }
 
 int PrefillScheduler::OnArrival(Request* request) {
@@ -38,6 +57,7 @@ int PrefillScheduler::OnArrival(Request* request) {
       if (group.model == request->model && group.accumulated < max_group_size_) {
         group.pending.push_back(request);
         group.accumulated++;
+        queues_[i].exec_sum += ExecTicks(*request);
         return static_cast<int>(i);
       }
     }
@@ -55,25 +75,29 @@ int PrefillScheduler::OnArrival(Request* request) {
       best = static_cast<int>(i);
     }
   }
+  InstanceQueue& queue = queues_[best];
+  if (!queue.groups.empty()) {
+    queue.switch_sum += SwitchTicks(queue.groups.back().model, request->model);
+  }
+  queue.exec_sum += ExecTicks(*request);
   Group group;
   group.model = request->model;
   group.pending.push_back(request);
   group.accumulated = 1;
-  queues_[best].groups.push_back(std::move(group));
+  queue.groups.push_back(std::move(group));
   return best;
 }
 
 Request* PrefillScheduler::NextJob(int i) {
   InstanceQueue& queue = queues_[i];
-  while (!queue.groups.empty() && queue.groups.front().pending.empty()) {
-    queue.groups.pop_front();
-  }
+  PopExhausted(queue);
   if (queue.groups.empty()) {
     return nullptr;
   }
   Group& front = queue.groups.front();
   Request* request = front.pending.front();
   front.pending.pop_front();
+  queue.exec_sum -= ExecTicks(*request);
   return request;
 }
 
@@ -100,11 +124,14 @@ void PrefillScheduler::SetAvailable(int i, bool available) {
 }
 
 std::vector<Request*> PrefillScheduler::DrainQueue(int i) {
+  InstanceQueue& queue = queues_[i];
   std::vector<Request*> drained;
-  for (Group& group : queues_[i].groups) {
+  for (Group& group : queue.groups) {
     drained.insert(drained.end(), group.pending.begin(), group.pending.end());
   }
-  queues_[i].groups.clear();
+  queue.groups.clear();
+  queue.exec_sum = 0;
+  queue.switch_sum = 0;
   return drained;
 }
 
@@ -114,11 +141,20 @@ void PrefillScheduler::PushContinuation(int i, Request* request) {
   group.pending.push_back(request);
   group.accumulated = max_group_size_;  // no joins: this is a continuation
   InstanceQueue& queue = queues_[i];
+  queue.exec_sum += ExecTicks(*request);
   // Drop exhausted front groups so "behind the front" means behind real work.
-  while (!queue.groups.empty() && queue.groups.front().pending.empty()) {
-    queue.groups.pop_front();
+  PopExhausted(queue);
+  if (queue.groups.empty()) {
+    queue.groups.push_back(std::move(group));
+    return;
   }
-  auto pos = queue.groups.empty() ? queue.groups.begin() : std::next(queue.groups.begin());
+  // Splice between the front group and its successor, if any.
+  auto pos = std::next(queue.groups.begin());
+  ModelId front = queue.groups.front().model;
+  queue.switch_sum += SwitchTicks(front, group.model);
+  if (pos != queue.groups.end()) {
+    queue.switch_sum += SwitchTicks(group.model, pos->model) - SwitchTicks(front, pos->model);
+  }
   queue.groups.insert(pos, std::move(group));
 }
 

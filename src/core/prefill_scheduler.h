@@ -25,6 +25,8 @@ class PrefillScheduler {
   //   exec_estimate(r): predicted prefill time of request r (Eq. 5);
   //   switch_estimate(from, to): predicted auto-scaling time (Eq. 4);
   //   current_model(i): model resident on prefill instance i.
+  // The two estimates must be pure functions of their arguments: the running
+  // load sums take out exactly what they put in by calling them again.
   struct Estimators {
     std::function<Duration(const Request&)> exec_estimate;
     std::function<Duration(ModelId, ModelId)> switch_estimate;
@@ -49,6 +51,8 @@ class PrefillScheduler {
   size_t QueuedRequests(int i) const;
 
   // Estimated time to drain instance `i`'s queue (execution + switching).
+  // O(1): the queue keeps running sums, and only the switch from the
+  // instance's resident model to the front group is estimated per call.
   Duration LoadEstimate(int i) const;
 
   // Marks instance `i` (un)available for dispatch (fault tolerance). An
@@ -68,6 +72,11 @@ class PrefillScheduler {
   void PushContinuation(int i, Request* request);
 
  private:
+  // Durations summed as integer ticks of 2^-64 s. Integer sums are exact, so
+  // taking an estimate back out leaves no rounding residue, and a total
+  // converts to the correctly rounded sum of the same doubles.
+  using Ticks = __int128;
+
   struct Group {
     ModelId model = kInvalidModel;
     std::deque<Request*> pending;
@@ -78,7 +87,14 @@ class PrefillScheduler {
   struct InstanceQueue {
     std::deque<Group> groups;
     bool available = true;
+    Ticks exec_sum = 0;    // exec estimates of the pending requests
+    Ticks switch_sum = 0;  // switch estimates between consecutive groups
   };
+
+  Ticks ExecTicks(const Request& request) const;
+  Ticks SwitchTicks(ModelId from, ModelId to) const;
+  // Retires exhausted front groups, keeping switch_sum in step.
+  void PopExhausted(InstanceQueue& queue) const;
 
   int max_group_size_;
   Estimators est_;

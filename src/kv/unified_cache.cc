@@ -78,6 +78,10 @@ size_t UnifiedKvCache::Reclaim(TimePoint now) {
   return reclaimed;
 }
 
+int64_t UnifiedKvCache::FreeTokens(ShapeClassId shape) const {
+  return static_cast<int64_t>(slabs_.FreeBlocks(shape)) * tokens_per_block_;
+}
+
 int64_t UnifiedKvCache::FreeBlocksEstimate(ShapeClassId shape) const {
   uint64_t block = block_bytes_.at(shape);
   uint64_t per_slab = slabs_.slab_bytes() / block;

@@ -53,8 +53,13 @@ class UnifiedKvCache {
   // daemon thread). Returns the number of blocks reclaimed.
   size_t Reclaim(TimePoint now);
 
+  // Exact number of tokens of `shape` an AllocTokens could hold right now
+  // (SlabAllocator::FreeBlocks, in whole blocks).
+  int64_t FreeTokens(ShapeClassId shape) const;
+
   // Optimistic estimate of allocatable blocks for `shape` right now
-  // (free blocks in partial slabs + free slabs' worth).
+  // (free blocks in partial slabs + free slabs' worth). It counts a slab's
+  // tail bytes as blocks when the slab is not a multiple of the block size.
   int64_t FreeBlocksEstimate(ShapeClassId shape) const;
   int64_t FreeTokensEstimate(ShapeClassId shape) const;
 

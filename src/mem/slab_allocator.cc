@@ -57,10 +57,20 @@ int32_t SlabAllocator::AcquireSlab(ShapeClassId shape) {
   return static_cast<int32_t>(slab_id);
 }
 
+uint64_t SlabAllocator::FreeBlocks(ShapeClassId shape) const {
+  const ShapeState& state = shape_states_[shape];
+  uint64_t per_slab = slab_bytes_ / state.block_bytes;
+  return (state.held_slabs + free_slabs_.size()) * per_slab - state.used_blocks;
+}
+
 std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
   assert(shape < shape_states_.size() && shape_states_[shape].block_bytes != 0 &&
          "shape must be registered before Alloc");
   ShapeState& state = shape_states_[shape];
+  if (count > FreeBlocks(shape)) {
+    FailAlloc(state, shape);
+    return {};
+  }
 
   std::vector<BlockRef> blocks;
   blocks.reserve(count);
@@ -80,19 +90,12 @@ std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
     if (slab_id < 0) {
       slab_id = AcquireSlab(shape);
     }
-    if (slab_id < 0) {
-      // Out of memory: roll back (all-or-nothing semantics). Shadow state
-      // already saw these blocks allocated, so the rollback frees balance.
-      simsan::NoteAlloc(this, blocks.data(), blocks.size());
-      Free(blocks);
-      return {};
-    }
+    assert(slab_id >= 0 && "FreeBlocks admitted a request that does not fit");
     Slab& slab = slabs_[slab_id];
     while (blocks.size() < count && !slab.free_indices.empty()) {
       uint32_t index = slab.free_indices.back();
       slab.free_indices.pop_back();
       slab.used_count++;
-      state.used_blocks++;  // counted per block so a rollback stays balanced
       blocks.push_back(BlockRef{static_cast<uint32_t>(slab_id), index});
     }
     if (slab.free_indices.empty() && !state.partial_slabs.empty() &&
@@ -100,10 +103,30 @@ std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
       state.partial_slabs.pop_back();
     }
   }
+  state.used_blocks += count;
   MaybeUpdatePeaks(state);
   UpdateGlobalPeak();
   simsan::NoteAlloc(this, blocks.data(), blocks.size());
   return blocks;
+}
+
+void SlabAllocator::FailAlloc(ShapeState& state, ShapeClassId shape) {
+  // Leaves the shape's live partial slabs, each once, in the order a
+  // back-to-front scan meets them, so the next Alloc starts from the slab
+  // met last. Simulated schedules depend on this order: it is the one that
+  // draining the shape and rolling back block by block leaves (DESIGN.md §6).
+  std::vector<uint32_t> visited;
+  for (auto it = state.partial_slabs.rbegin(); it != state.partial_slabs.rend(); ++it) {
+    Slab& slab = slabs_[*it];
+    if (slab.shape == shape && !slab.free_indices.empty() && !slab.visited) {
+      slab.visited = true;
+      visited.push_back(*it);
+    }
+  }
+  for (uint32_t slab_id : visited) {
+    slabs_[slab_id].visited = false;
+  }
+  state.partial_slabs = std::move(visited);
 }
 
 void SlabAllocator::FreeOne(BlockRef block) {

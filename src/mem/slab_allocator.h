@@ -45,7 +45,12 @@ class SlabAllocator {
 
   // Allocates `count` blocks of `shape`. Returns the blocks, or an empty
   // vector if the request cannot be satisfied in full (all-or-nothing).
+  // Fails in O(live slabs of `shape`) when `count > FreeBlocks(shape)`.
   std::vector<BlockRef> Alloc(ShapeClassId shape, size_t count);
+
+  // Exact number of `shape` blocks an Alloc could hand out right now: the
+  // free blocks of the shape's slabs plus a free slab's worth per free slab.
+  uint64_t FreeBlocks(ShapeClassId shape) const;
 
   // Returns blocks to their slabs; fully-freed slabs are reclaimed.
   void Free(const std::vector<BlockRef>& blocks);
@@ -91,6 +96,7 @@ class SlabAllocator {
     std::vector<uint32_t> free_indices;
     uint32_t used_count = 0;
     uint32_t block_capacity = 0;
+    bool visited = false;  // scratch mark for FailAlloc's dedup
   };
 
   struct ShapeState {
@@ -105,6 +111,8 @@ class SlabAllocator {
 
   // Assigns a free slab to `shape`; returns its index or -1.
   int32_t AcquireSlab(ShapeClassId shape);
+  // The lasting effect of a failed Alloc on the shape's partial list.
+  void FailAlloc(ShapeState& state, ShapeClassId shape);
   void MaybeUpdatePeaks(ShapeState& state);
   void UpdateGlobalPeak();
 

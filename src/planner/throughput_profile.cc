@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "core/cluster.h"
 #include "model/latency_model.h"
+#include "sim/parse_number.h"
 
 namespace aegaeon {
 
@@ -191,6 +192,19 @@ size_t FindKey(const std::string& text, const std::string& key, size_t from) {
   return at == std::string::npos ? std::string::npos : at + needle.size();
 }
 
+// Parses the scalar that starts at `at` and runs to the next ',', '}' or
+// ']' (or the end of `text`), ignoring surrounding blanks.
+template <typename T>
+bool ParseValue(const std::string& text, size_t at, T* out) {
+  size_t stop = std::min(text.find_first_of(",}]", at), text.size());
+  size_t first = text.find_first_not_of(" \t\n", at);
+  if (first == std::string::npos || first >= stop) {
+    return false;
+  }
+  size_t last = text.find_last_not_of(" \t\n", stop - 1);
+  return ParseNumber(std::string_view(text).substr(first, last + 1 - first), out);
+}
+
 bool ParseDoubleArray(const std::string& text, size_t at, std::vector<double>& out,
                       size_t* end) {
   out.clear();
@@ -206,7 +220,11 @@ bool ParseDoubleArray(const std::string& text, size_t at, std::vector<double>& o
     if (token.find_first_not_of(" \t\n") == std::string::npos) {
       continue;
     }
-    out.push_back(std::strtod(token.c_str(), nullptr));
+    double value = 0.0;
+    if (!ParseValue(token, 0, &value)) {
+      return false;
+    }
+    out.push_back(value);
   }
   *end = close + 1;
   return true;
@@ -252,14 +270,14 @@ bool ReadProfileJson(std::istream& is, ThroughputProfile& profile) {
   profile = ThroughputProfile{};
 
   size_t at = FindKey(text, "version", 0);
-  if (at == std::string::npos || std::strtol(text.c_str() + at, nullptr, 10) != 1) {
+  int version = 0;
+  if (at == std::string::npos || !ParseValue(text, at, &version) || version != 1) {
     return false;
   }
   at = FindKey(text, "target_attainment", 0);
-  if (at == std::string::npos) {
+  if (at == std::string::npos || !ParseValue(text, at, &profile.target_attainment)) {
     return false;
   }
-  profile.target_attainment = std::strtod(text.c_str() + at, nullptr);
 
   std::vector<double> edges;
   size_t end = 0;

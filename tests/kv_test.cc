@@ -76,6 +76,23 @@ TEST(UnifiedKvCacheTest, FreeTokensEstimateTracksCapacity) {
   EXPECT_EQ(cache.FreeTokensEstimate(shape), total);
 }
 
+TEST(UnifiedKvCacheTest, FreeTokensIsExactWhenSlabsHaveSlack) {
+  // 192 KB/token at fp16 and 16 tokens per block: 3 MiB blocks, so a 64 MiB
+  // slab holds 21 blocks and 1 MiB of slack.
+  UnifiedKvCache cache("c", 256 * kMiB, 64 * kMiB, 16);
+  KvShape shape{/*layers=*/24, /*kv_heads=*/16, /*head_dim=*/128};
+  ShapeClassId id = cache.RegisterShape(shape, 2);
+  ASSERT_EQ(cache.BlockBytes(id), 3 * kMiB);
+  EXPECT_EQ(cache.FreeTokens(id), 4 * 21 * 16);
+  auto blocks = cache.AllocTokens(id, 43 * 16);  // three slabs held
+  EXPECT_EQ(cache.FreeTokens(id), 41 * 16);
+  // The estimate counts the three slabs' slack as one more block.
+  EXPECT_EQ(cache.FreeTokensEstimate(id), 42 * 16);
+  EXPECT_TRUE(cache.AllocTokens(id, 41 * 16 + 1).empty());
+  EXPECT_EQ(cache.AllocTokens(id, 41 * 16).size(), 41u);
+  EXPECT_EQ(cache.FreeTokens(id), 0);
+}
+
 // --- TransferEngine ---------------------------------------------------------
 
 class TransferEngineTest : public ::testing::Test {

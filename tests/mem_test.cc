@@ -167,6 +167,54 @@ TEST(SlabAllocatorTest, AllOrNothingOnExhaustion) {
   EXPECT_EQ(slabs.Alloc(0, 2).size(), 2u);
 }
 
+TEST(SlabAllocatorTest, FreeBlocksCountsPartialAndFreeSlabs) {
+  SlabAllocator slabs(1000, 100);
+  slabs.RegisterShape(0, 30);  // 3 blocks per slab, 10 bytes of slack each
+  EXPECT_EQ(slabs.FreeBlocks(0), 30u);
+  auto blocks = slabs.Alloc(0, 4);  // one full slab, one with 2 free
+  EXPECT_EQ(slabs.FreeBlocks(0), 26u);
+  EXPECT_TRUE(slabs.Alloc(0, 27).empty());
+  EXPECT_EQ(slabs.Alloc(0, 26).size(), 26u);
+  EXPECT_EQ(slabs.FreeBlocks(0), 0u);
+}
+
+TEST(SlabAllocatorTest, FailedAllocKeepsTheRollbackOrder) {
+  // Five slabs of three blocks. Fill slabs 0-2, then free one block in
+  // slab 0 and one in slab 1: the partial list is [0, 1], slabs 3 and 4
+  // are free, and shape 0 can take 1 + 1 + 2 * 3 = 8 more blocks.
+  SlabAllocator slabs(1500, 300);
+  slabs.RegisterShape(0, 100);
+  slabs.RegisterShape(1, 300);
+  auto a = slabs.Alloc(0, 3);
+  auto b = slabs.Alloc(0, 3);
+  auto c = slabs.Alloc(0, 3);
+  ASSERT_EQ(a[0].slab, 0u);
+  ASSERT_EQ(b[0].slab, 1u);
+  slabs.FreeOne(a[0]);
+  slabs.FreeOne(b[0]);
+  ASSERT_EQ(slabs.FreeBlocks(0), 8u);
+
+  EXPECT_TRUE(slabs.Alloc(0, 9).empty());
+  EXPECT_EQ(slabs.FreeBlocks(0), 8u);
+  EXPECT_EQ(slabs.free_slabs(), 2u);
+  EXPECT_EQ(slabs.held_bytes(0), 900u);
+  EXPECT_EQ(slabs.shape_stats(0).peak_held_bytes, 900u);
+
+  // A failed Alloc scans the partial list from the back (slab 1, then
+  // slab 0) and leaves the slab it reached last first in line: the next
+  // block comes from slab 0, as it did when the failure drained and then
+  // rolled back every block. Dropping the failure's reorder would serve
+  // slab 1 here.
+  auto next = slabs.Alloc(0, 1);
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].slab, 0u);
+  // The failure acquired no slab, so the free-slab stack is as before:
+  // slab 3 is still the next one handed out.
+  auto other = slabs.Alloc(1, 1);
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_EQ(other[0].slab, 3u);
+}
+
 TEST(SlabAllocatorTest, EmptySlabsAreReclaimedForOtherShapes) {
   SlabAllocator slabs(200, 100);
   slabs.RegisterShape(0, 100);
@@ -224,8 +272,12 @@ TEST_P(SlabPropertyTest, InvariantsHoldUnderRandomWorkload) {
     if (live.empty() || rng.Bernoulli(0.55)) {
       ShapeClassId shape = static_cast<ShapeClassId>(rng.UniformInt(block_sizes.size()));
       size_t count = 1 + rng.UniformInt(6);
+      uint64_t free_before = slabs.FreeBlocks(shape);
       auto blocks = slabs.Alloc(shape, count);
+      // FreeBlocks is exact: Alloc succeeds iff the request fits.
+      ASSERT_EQ(!blocks.empty(), count <= free_before);
       if (!blocks.empty()) {
+        ASSERT_EQ(slabs.FreeBlocks(shape), free_before - count);
         for (const BlockRef& block : blocks) {
           // No block is ever handed out twice.
           ASSERT_TRUE(outstanding.insert(block.Packed()).second);

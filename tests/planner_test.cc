@@ -113,6 +113,35 @@ TEST(ThroughputProfileTest, JsonRoundTripsExactly) {
   std::remove(path.c_str());
 }
 
+TEST(ThroughputProfileTest, ReadRejectsMalformedNumbers) {
+  ThroughputProfile profile;
+  profile.grid.input_edges = {512};
+  profile.grid.output_edges = {256};
+  profile.target_attainment = 0.5;
+  profile.entries.push_back(ProfileEntry{"H20", "7B", true, {1.5}});
+  std::ostringstream os;
+  WriteProfileJson(os, profile);
+  const std::string text = os.str();
+  ThroughputProfile loaded;
+  std::istringstream good(text);
+  ASSERT_TRUE(ReadProfileJson(good, loaded));
+  EXPECT_EQ(loaded.entries[0].tput[0], 1.5);
+
+  auto with = [&text](const std::string& from, const std::string& to) {
+    std::string edited = text;
+    size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  for (const std::string& bad :
+       {with("[1.5]", "[1.5x]"), with("[1.5]", "[nan]"), with("[1.5]", "[inf]"),
+        with("[1.5]", "[1.5 2]"), with("[512]", "[5e]"), with("\"version\": 1", "\"version\": 1.0"),
+        with("\"target_attainment\": 0.5", "\"target_attainment\": ")}) {
+    std::istringstream is(bad);
+    EXPECT_FALSE(ReadProfileJson(is, loaded)) << bad;
+  }
+}
+
 TEST(ThroughputProfileTest, LoadRejectsGridMismatch) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(1);
   auto trace = GeneratePoisson(registry, 0.4, 30.0, Dataset::ShareGpt(), 5);

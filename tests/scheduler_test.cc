@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
+#include <memory>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "core/decode_scheduler.h"
 #include "core/prefill_scheduler.h"
 #include "core/request.h"
+#include "sim/random.h"
 
 namespace aegaeon {
 namespace {
@@ -145,6 +150,218 @@ TEST_F(PrefillSchedulerTest, DrainQueueReturnsPendingInOrder) {
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_FALSE(sched_->HasWork(0));
   EXPECT_EQ(sched_->NextJob(0), nullptr);
+}
+
+// PrefillScheduler as it was before the running load sums: LoadEstimate
+// walks every queued request. The randomized test checks the O(1) estimate
+// and every scheduling decision against it.
+class WalkingPrefillScheduler {
+ public:
+  WalkingPrefillScheduler(int instances, int max_group_size,
+                          PrefillScheduler::Estimators estimators)
+      : max_group_size_(max_group_size), est_(std::move(estimators)), queues_(instances) {}
+
+  Duration LoadEstimate(int i) const {
+    Duration load = 0.0;
+    ModelId previous = est_.current_model(i);
+    for (const Group& group : queues_[i].groups) {
+      if (group.model != previous) {
+        load += est_.switch_estimate(previous, group.model);
+        previous = group.model;
+      }
+      for (const Request* request : group.pending) {
+        load += est_.exec_estimate(*request);
+      }
+    }
+    return load;
+  }
+
+  int OnArrival(Request* request) {
+    for (size_t i = 0; i < queues_.size(); ++i) {
+      if (!queues_[i].available) {
+        continue;
+      }
+      for (Group& group : queues_[i].groups) {
+        if (group.model == request->model && group.accumulated < max_group_size_) {
+          group.pending.push_back(request);
+          group.accumulated++;
+          return static_cast<int>(i);
+        }
+      }
+    }
+    int best = 0;
+    Duration min_load = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < queues_.size(); ++i) {
+      if (!queues_[i].available) {
+        continue;
+      }
+      Duration load = LoadEstimate(static_cast<int>(i));
+      if (load < min_load) {
+        min_load = load;
+        best = static_cast<int>(i);
+      }
+    }
+    queues_[best].groups.push_back(Group{request->model, {request}, 1});
+    return best;
+  }
+
+  Request* NextJob(int i) {
+    std::deque<Group>& groups = queues_[i].groups;
+    while (!groups.empty() && groups.front().pending.empty()) {
+      groups.pop_front();
+    }
+    if (groups.empty()) {
+      return nullptr;
+    }
+    Request* request = groups.front().pending.front();
+    groups.front().pending.pop_front();
+    return request;
+  }
+
+  void PushContinuation(int i, Request* request) {
+    std::deque<Group>& groups = queues_[i].groups;
+    while (!groups.empty() && groups.front().pending.empty()) {
+      groups.pop_front();
+    }
+    auto pos = groups.empty() ? groups.begin() : std::next(groups.begin());
+    groups.insert(pos, Group{request->model, {request}, max_group_size_});
+  }
+
+  std::vector<Request*> DrainQueue(int i) {
+    std::vector<Request*> drained;
+    for (const Group& group : queues_[i].groups) {
+      drained.insert(drained.end(), group.pending.begin(), group.pending.end());
+    }
+    queues_[i].groups.clear();
+    return drained;
+  }
+
+  void SetAvailable(int i, bool available) { queues_[i].available = available; }
+
+ private:
+  struct Group {
+    ModelId model = kInvalidModel;
+    std::deque<Request*> pending;
+    int accumulated = 0;
+  };
+  struct Queue {
+    std::deque<Group> groups;
+    bool available = true;
+  };
+
+  int max_group_size_;
+  PrefillScheduler::Estimators est_;
+  std::vector<Queue> queues_;
+};
+
+class PrefillLoadSumTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PrefillLoadSumTest, RunningSumsMatchTheWalk) {
+  constexpr int kInstances = 3;
+  std::vector<ModelId> current(kInstances, kInvalidModel);
+  PrefillScheduler::Estimators est;
+  est.exec_estimate = [](const Request& r) {
+    return 0.003 + 1.7e-4 * static_cast<double>(r.prompt_tokens);
+  };
+  est.switch_estimate = [](ModelId from, ModelId to) {
+    return from == to ? 0.0 : 0.25 + 0.037 * static_cast<double>(to);
+  };
+  est.current_model = [&current](int i) { return current[i]; };
+  PrefillScheduler sched(kInstances, /*max_group_size=*/4, est);
+  WalkingPrefillScheduler walk(kInstances, /*max_group_size=*/4, est);
+
+  Rng rng(GetParam());
+  std::vector<std::unique_ptr<Request>> requests;
+  for (int step = 0; step < 3000; ++step) {
+    int i = static_cast<int>(rng.UniformInt(kInstances));
+    double op = rng.NextDouble();
+    if (op < 0.5) {
+      auto r = std::make_unique<Request>();
+      r->id = requests.size();
+      r->model = static_cast<ModelId>(rng.UniformInt(6));
+      r->prompt_tokens = 1 + static_cast<int64_t>(rng.UniformInt(4000));
+      requests.push_back(std::move(r));
+      ASSERT_EQ(sched.OnArrival(requests.back().get()), walk.OnArrival(requests.back().get()))
+          << "step " << step;
+    } else if (op < 0.85) {
+      Request* r = sched.NextJob(i);
+      ASSERT_EQ(r, walk.NextJob(i)) << "step " << step;
+      if (r != nullptr) {
+        current[i] = r->model;  // the instance switched to run it
+        if (rng.Bernoulli(0.3)) {  // a chunked prefill yields the instance
+          sched.PushContinuation(i, r);
+          walk.PushContinuation(i, r);
+        }
+      }
+    } else if (op < 0.9) {
+      ASSERT_EQ(sched.DrainQueue(i), walk.DrainQueue(i)) << "step " << step;
+    } else {
+      bool available = rng.Bernoulli(0.6);
+      sched.SetAvailable(i, available);
+      walk.SetAvailable(i, available);
+    }
+    for (int k = 0; k < kInstances; ++k) {
+      Duration expected = walk.LoadEstimate(k);
+      EXPECT_NEAR(sched.LoadEstimate(k), expected, 1e-12 * expected)
+          << "step " << step << " instance " << k;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PrefillLoadSumTest, ::testing::Values(1, 7, 2025));
+
+TEST(PrefillSchedulerCostTest, EstimatorCallsDoNotGrowWithQueueDepth) {
+  // ROADMAP item 8's gate: the least-loaded choice costs O(instances)
+  // estimator calls, however deep the queues are.
+  constexpr int kInstances = 3;
+  int calls = 0;
+  PrefillScheduler::Estimators est;
+  est.exec_estimate = [&calls](const Request&) {
+    ++calls;
+    return 0.1;
+  };
+  est.switch_estimate = [&calls](ModelId, ModelId) {
+    ++calls;
+    return 1.0;
+  };
+  est.current_model = [&calls](int) {
+    ++calls;
+    return kInvalidModel;
+  };
+  // Group size 1: every arrival opens a new group and runs the choice.
+  PrefillScheduler sched(kInstances, /*max_group_size=*/1, est);
+  std::vector<std::unique_ptr<Request>> requests;
+  auto calls_for = [&](auto op) {
+    int before = calls;
+    op();
+    return calls - before;
+  };
+  auto arrive = [&] {
+    auto r = std::make_unique<Request>();
+    r->id = requests.size();
+    r->model = static_cast<ModelId>(requests.size() % 5);
+    r->prompt_tokens = 100;
+    requests.push_back(std::move(r));
+    sched.OnArrival(requests.back().get());
+  };
+  auto churn = [&] {  // one job out and back in, as a chunk boundary does
+    Request* r = sched.NextJob(0);
+    sched.PushContinuation(0, r);
+  };
+
+  for (int i = 0; i < 10 * kInstances; ++i) {
+    arrive();
+  }
+  int shallow_arrival = calls_for(arrive);
+  int shallow_churn = calls_for(churn);
+  for (int i = 0; i < 1000 * kInstances; ++i) {
+    arrive();
+  }
+  EXPECT_EQ(calls_for(arrive), shallow_arrival);
+  EXPECT_EQ(calls_for(churn), shallow_churn);
+  // One exec estimate, one switch behind the new group's tail, and a
+  // resident-model lookup plus a head switch per instance.
+  EXPECT_LE(shallow_arrival, 2 + 2 * kInstances);
 }
 
 // --- Algorithm 2: quotas ----------------------------------------------------

@@ -20,6 +20,7 @@
 #include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/parallel_sweep.h"
+#include "sim/parse_number.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/thread_pool.h"
@@ -28,6 +29,28 @@
 
 namespace aegaeon {
 namespace {
+
+TEST(ParseNumberTest, AcceptsOnlyOneWholeFiniteNumber) {
+  int i = 0;
+  double d = 0.0;
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseNumber("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseNumber("-1.25e2", &d));
+  EXPECT_EQ(d, -125.0);
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  for (const char* bad : {"", " 4", "4 ", "4x", "0x10", "+", "99999999999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &i)) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", "1.5.2", "0.5s"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseNumber("-1", &u));
+  // A rejected value leaves the target untouched.
+  EXPECT_EQ(i, 42);
+  EXPECT_EQ(d, -125.0);
+}
 
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue queue;

@@ -21,6 +21,7 @@
 #include "analysis/stats.h"
 #include "hw/gpu_spec.h"
 #include "model/registry.h"
+#include "sim/parse_number.h"
 #include "planner/planner.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
@@ -133,31 +134,38 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto* out) {
+      const char* text = next(flag);
+      if (!ParseNumber(text, out)) {
+        std::fprintf(stderr, "invalid value '%s' for %s\n", text, flag);
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       Usage();
       std::exit(0);
     } else if (arg == "--models") {
-      opts.models = std::atoi(next("--models"));
+      number("--models", &opts.models);
     } else if (arg == "--rps") {
-      opts.rps = std::atof(next("--rps"));
+      number("--rps", &opts.rps);
     } else if (arg == "--horizon") {
-      opts.horizon = std::atof(next("--horizon"));
+      number("--horizon", &opts.horizon);
     } else if (arg == "--gpus") {
       opts.gpus = next("--gpus");
     } else if (arg == "--max-count") {
-      opts.max_count = std::atoi(next("--max-count"));
+      number("--max-count", &opts.max_count);
     } else if (arg == "--target") {
-      opts.target = std::atof(next("--target"));
+      number("--target", &opts.target);
     } else if (arg == "--zipf") {
-      opts.zipf = std::atof(next("--zipf"));
+      number("--zipf", &opts.zipf);
     } else if (arg == "--rounds") {
-      opts.rounds = std::atoi(next("--rounds"));
+      number("--rounds", &opts.rounds);
     } else if (arg == "--slo-scale") {
-      opts.slo_scale = std::atof(next("--slo-scale"));
+      number("--slo-scale", &opts.slo_scale);
     } else if (arg == "--dataset") {
       opts.dataset = next("--dataset");
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(next("--seed"), nullptr, 10);
+      number("--seed", &opts.seed);
     } else if (arg == "--trace-in") {
       opts.trace_in = next("--trace-in");
     } else if (arg == "--profile-cache") {

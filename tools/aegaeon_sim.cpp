@@ -30,6 +30,7 @@
 #include "ctrl/fault_plan.h"
 #include "hw/gpu_spec.h"
 #include "model/registry.h"
+#include "sim/parse_number.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
 #include "planner/workload_matrix.h"
@@ -150,31 +151,38 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       }
       return argv[++i];
     };
+    auto number = [&](const char* flag, auto* out) {
+      const char* text = next(flag);
+      if (!ParseNumber(text, out)) {
+        std::fprintf(stderr, "invalid value '%s' for %s\n", text, flag);
+        std::exit(2);
+      }
+    };
     if (arg == "--help" || arg == "-h") {
       Usage();
       std::exit(0);
     } else if (arg == "--system") {
       opts.system = next("--system");
     } else if (arg == "--models") {
-      opts.models = std::atoi(next("--models"));
+      number("--models", &opts.models);
     } else if (arg == "--rps") {
-      opts.rps = std::atof(next("--rps"));
+      number("--rps", &opts.rps);
     } else if (arg == "--horizon") {
-      opts.horizon = std::atof(next("--horizon"));
+      number("--horizon", &opts.horizon);
     } else if (arg == "--gpus") {
-      opts.gpus = std::atoi(next("--gpus"));
+      number("--gpus", &opts.gpus);
     } else if (arg == "--prefill") {
-      opts.prefill = std::atoi(next("--prefill"));
+      number("--prefill", &opts.prefill);
     } else if (arg == "--decode") {
-      opts.decode = std::atoi(next("--decode"));
+      number("--decode", &opts.decode);
     } else if (arg == "--gpu") {
       opts.gpu = next("--gpu");
     } else if (arg == "--dataset") {
       opts.dataset = next("--dataset");
     } else if (arg == "--slo-scale") {
-      opts.slo_scale = std::atof(next("--slo-scale"));
+      number("--slo-scale", &opts.slo_scale);
     } else if (arg == "--seed") {
-      opts.seed = std::strtoull(next("--seed"), nullptr, 10);
+      number("--seed", &opts.seed);
     } else if (arg == "--trace-in") {
       opts.trace_in = next("--trace-in");
     } else if (arg == "--trace-out") {
@@ -182,17 +190,17 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     } else if (arg == "--timeline") {
       opts.timeline = next("--timeline");
     } else if (arg == "--nodes") {
-      opts.nodes = std::atoi(next("--nodes"));
+      number("--nodes", &opts.nodes);
     } else if (arg == "--residents") {
-      opts.residents = std::atoi(next("--residents"));
+      number("--residents", &opts.residents);
     } else if (arg == "--cells") {
-      opts.cells = std::atoi(next("--cells"));
+      number("--cells", &opts.cells);
     } else if (arg == "--shards") {
-      opts.shards = std::atoi(next("--shards"));
+      number("--shards", &opts.shards);
     } else if (arg == "--dispatch-latency") {
-      opts.dispatch_latency = std::atof(next("--dispatch-latency"));
+      number("--dispatch-latency", &opts.dispatch_latency);
     } else if (arg == "--ctrl-replicas") {
-      opts.ctrl_replicas = std::atoi(next("--ctrl-replicas"));
+      number("--ctrl-replicas", &opts.ctrl_replicas);
     } else if (arg == "--fail") {
       opts.fault_specs.push_back(next("--fail"));
     } else if (arg == "--kill-dispatcher") {

@@ -217,7 +217,7 @@ double AegaeonCluster::AgingKvFactor(TimePoint now) const {
 
 void AegaeonCluster::MakeProxy() {
   ServingProxy::Backend backend;
-  backend.queue_delay = [this](const Request& r) { return BacklogEstimate(r); };
+  backend.queue_delay = [this](const Request&) { return BacklogEstimate(); };
   backend.exec_estimate = [this](const Request& r) {
     const DeployedModel& dm = registry_.Get(r.model);
     return latency_.PrefillOne(dm.spec, dm.tp, r.prompt_tokens);
@@ -228,8 +228,7 @@ void AegaeonCluster::MakeProxy() {
                                           std::move(backend));
 }
 
-Duration AegaeonCluster::BacklogEstimate(const Request& request) const {
-  (void)request;
+Duration AegaeonCluster::BacklogEstimate() const {
   Duration best = std::numeric_limits<double>::infinity();
   for (size_t i = 0; i < prefill_units_.size(); ++i) {
     if (prefill_units_[i].failed) {
@@ -766,7 +765,6 @@ bool AegaeonCluster::TryAssignDecode(Request* request) {
       std::max<int64_t>(config_.expected_context_tokens, request->context_tokens());
   unit.committed_kv_bytes +=
       static_cast<double>(request->billed_kv_tokens) * KvBytesPerToken(request->model);
-  (void)expected;
 
   bool joined = false;
   for (DecodeBatch& batch : unit.work_list) {

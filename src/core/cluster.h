@@ -81,7 +81,7 @@ class AegaeonCluster {
   bool pending() const { return sim_.pending(); }
   // Earliest pending event (kTimeNever when idle); the fleet's barrier
   // stage uses it to skip cells with nothing to do inside an epoch.
-  TimePoint NextEventTime() { return sim_.NextEventTime(); }
+  TimePoint NextEventTime() const { return sim_.NextEventTime(); }
   const SimPerfCounters& sim_perf() const { return sim_.perf(); }
 
   // --- Fault injection (§3.3: the proxy layer provides fault tolerance) --
@@ -214,7 +214,7 @@ class AegaeonCluster {
   // Estimated delay before a request dispatched now would start prefill:
   // the least-loaded healthy prefill queue, plus a decode back-pressure
   // term when prefilled work is already waiting for decode KV capacity.
-  Duration BacklogEstimate(const Request& request) const;
+  Duration BacklogEstimate() const;
   // Re-admission of a failure-displaced request into the prefill phase.
   void RequeuePrefill(Request* request);
 

@@ -111,9 +111,6 @@ struct AegaeonConfig {
   // Software-aging drift of this cell (off by default). The fleet's fault
   // engine (ctrl/fault_plan.h) overrides this per cell via SetAgingDrift.
   AgingDriftConfig aging;
-
-  // RNG seed for any internal stochastic choices.
-  uint64_t seed = 1;
 };
 
 }  // namespace aegaeon

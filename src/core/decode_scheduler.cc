@@ -68,8 +68,11 @@ int PickDecodeInstance(const std::vector<size_t>& work_list_sizes,
   assert(!work_list_sizes.empty());
   assert(work_list_sizes.size() == has_model.size());
   int best = -1;
-  // First preference: instances already serving this model (joining or
-  // stacking a batch avoids an extra model in some round's rotation).
+  // First preference: instances with a non-full batch of this model
+  // (`has_model`), where the request joins that batch instead of adding a
+  // model to some round's rotation. An instance whose batches of the model
+  // are all full is not preferred: the request would start a new batch
+  // there, so it competes on work-list size like any other instance.
   for (size_t i = 0; i < work_list_sizes.size(); ++i) {
     if (!has_model[i]) {
       continue;

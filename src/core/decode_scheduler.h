@@ -61,10 +61,10 @@ struct DecodeBatch {
 void GroupBatchesByModel(std::vector<DecodeBatch>& work_list);
 
 // Dispatch (Algorithm 2, line 2): picks the decoding instance with the
-// smallest work-list size. Ties break toward an instance already holding a
-// batch of the request's model, then toward the lowest index.
-// `work_list_sizes[i]` is the number of batches on instance i and
-// `has_model[i]` whether instance i already serves the model.
+// smallest work-list size, first among the instances with `has_model` set
+// and, only when there is none, among all. Ties break toward the lowest
+// index. `work_list_sizes[i]` is the number of batches on instance i and
+// `has_model[i]` whether instance i holds a non-full batch of the model.
 int PickDecodeInstance(const std::vector<size_t>& work_list_sizes,
                        const std::vector<bool>& has_model);
 

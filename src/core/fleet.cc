@@ -23,8 +23,7 @@ constexpr int kRouteQuantum = 4;
 ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
                            const GpuSpec& gpu_spec)
     : config_(config),
-      sharded_(ClampShards(config.shards, std::max(config.cells, 1)), config.threads),
-      mailboxes_(ClampShards(config.shards, std::max(config.cells, 1))) {
+      sharded_(ClampShards(config.shards, std::max(config.cells, 1)), config.threads) {
   const int cells = std::max(config_.cells, 1);
   // The dispatch channel only exists when there is more than one cell to
   // route between; a single cell gets one unbounded (exact) epoch.
@@ -43,8 +42,8 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
   simsan_.reserve(static_cast<size_t>(cells));
   routed_.assign(static_cast<size_t>(cells), 0);
   pending_routed_.assign(static_cast<size_t>(cells), 0);
-  delivery_batches_.reserve(static_cast<size_t>(cells));
-  delivery_time_batches_.reserve(static_cast<size_t>(cells));
+  delivery_batches_.resize(static_cast<size_t>(cells));
+  delivery_time_batches_.resize(static_cast<size_t>(cells));
   touched_cells_.reserve(static_cast<size_t>(cells));
   for (int i = 0; i < cells; ++i) {
     simsan_.push_back(std::make_unique<simsan::SimSan>());
@@ -52,8 +51,6 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
     // must already run under the cell's scope.
     simsan::ScopedInstance scope(*simsan_[static_cast<size_t>(i)]);
     cells_.push_back(std::make_unique<AegaeonCluster>(config_.cell, registry, gpu_spec));
-    delivery_batches_.emplace_back(ArenaAllocator<ArrivalEvent>(&delivery_arena_));
-    delivery_time_batches_.emplace_back(ArenaAllocator<TimePoint>(&delivery_arena_));
   }
 
   dispatcher_ = std::make_unique<LeastOutstandingDispatcher>();
@@ -67,9 +64,16 @@ ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
     return target;
   };
   hooks.deliver = [this](const ArrivalEvent& event, int target, TimePoint deliver_at) {
-    // Committed deliveries ride the fleet mailboxes like any cross-shard
-    // event; the mailbox key's time slot is the delivery time itself.
-    mailboxes_.Post(mailboxes_.Dispatcher(), target, deliver_at, event);
+    // Commits arrive in nondecreasing deliver_at order, so appending keeps
+    // every cell's batch in the order per-arrival delivery would inject.
+    assert(deliver_at >= last_delivery_ && "control plane delivered out of order");
+    last_delivery_ = deliver_at;
+    const size_t cell = static_cast<size_t>(target);
+    if (delivery_batches_[cell].empty()) {
+      touched_cells_.push_back(target);
+    }
+    delivery_batches_[cell].push_back(event);
+    delivery_time_batches_[cell].push_back(deliver_at);
   };
   hooks.unroute = [this](int target) { --pending_routed_[static_cast<size_t>(target)]; };
   ctrl_ = std::make_unique<ControlPlane>(config_.ctrl, config_.dispatch_latency,
@@ -147,7 +151,7 @@ ShardedSim::EpochPlan ShardedFleet::PlanEpoch() {
       ctrl_->Offer(trace[next_arrival_++]);
     }
     ctrl_->Drain();
-    DeliverMailboxes();
+    DeliverBatches();
     return plan;
   }
   // Next observable time: the earliest unrouted arrival or pending
@@ -182,35 +186,19 @@ ShardedSim::EpochPlan ShardedFleet::PlanEpoch() {
   // dispatcher crashes (which un-route the in-flight log back into the
   // queue), elections, and the successor's replays.
   ctrl_->AdvanceTo(horizon);
-  DeliverMailboxes();
+  DeliverBatches();
   barrier_ = horizon;
   plan.horizon = horizon;
   return plan;
 }
 
-void ShardedFleet::DeliverMailboxes() {
-  // Collected order is (time, source, seq) == commit order here (single
-  // serial dispatcher source, nondecreasing delivery times), so per-cell
-  // batches preserve exactly the order per-arrival delivery would have
-  // injected.
-  mailboxes_.CollectInto(collected_);
-  if (collected_.empty()) {
-    return;
-  }
-  for (const CrossShardEvent<ArrivalEvent>& event : collected_) {
-    ArrivalBatch& batch = delivery_batches_[static_cast<size_t>(event.target)];
-    if (batch.empty()) {
-      touched_cells_.push_back(event.target);
-    }
-    batch.push_back(event.payload);
-    // Inject at the committed delivery time (== the mailbox slot): normal
-    // routes land at arrival + dispatch_latency, failover replays at the
-    // successor's re-dispatch time.
-    delivery_time_batches_[static_cast<size_t>(event.target)].push_back(event.time);
-  }
+void ShardedFleet::DeliverBatches() {
+  // Each event is injected at its committed delivery time: normal routes
+  // land at arrival + dispatch_latency, failover replays at the successor's
+  // re-dispatch time.
   for (const int target : touched_cells_) {
-    ArrivalBatch& batch = delivery_batches_[static_cast<size_t>(target)];
-    TimeBatch& times = delivery_time_batches_[static_cast<size_t>(target)];
+    std::vector<ArrivalEvent>& batch = delivery_batches_[static_cast<size_t>(target)];
+    std::vector<TimePoint>& times = delivery_time_batches_[static_cast<size_t>(target)];
     AegaeonCluster& cell = *cells_[static_cast<size_t>(target)];
     simsan::ScopedInstance scope(*simsan_[static_cast<size_t>(target)]);
     cell.InjectArrivals(batch.data(), times.data(), batch.size());
@@ -222,12 +210,12 @@ void ShardedFleet::DeliverMailboxes() {
   touched_cells_.clear();
 }
 
-bool ShardedFleet::CellHasWork(int cell, TimePoint horizon) {
-  AegaeonCluster& c = *cells_[static_cast<size_t>(cell)];
+bool ShardedFleet::CellHasWork(int cell, TimePoint horizon) const {
+  const AegaeonCluster& c = *cells_[static_cast<size_t>(cell)];
   return horizon >= kTimeNever ? c.pending() : c.NextEventTime() <= horizon;
 }
 
-bool ShardedFleet::ShardHasWork(int shard, TimePoint horizon) {
+bool ShardedFleet::ShardHasWork(int shard, TimePoint horizon) const {
   int begin = 0, end = 0;
   ShardRange(shard, &begin, &end);
   for (int i = begin; i < end; ++i) {
@@ -247,6 +235,7 @@ RunMetrics ShardedFleet::Run(const std::vector<ArrivalEvent>& trace) {
   trace_ = &trace;
   next_arrival_ = 0;
   barrier_ = 0.0;
+  last_delivery_ = 0.0;
   {
     MutexLock lock(overrun_mu_);
     sync_overruns_ = 0;

@@ -24,7 +24,7 @@
 // Parallelism. The cells are grouped into `shards` contiguous groups; a
 // shard is the unit of parallel execution, nothing more. Execution proceeds
 // in epochs: a serial barrier stage dispatches the next window of arrivals
-// (through deterministic EpochMailboxes), then every shard with runnable
+// into per-cell delivery batches, then every shard with runnable
 // work advances its cells to the epoch horizon on a gang of persistent
 // workers. The epoch window is a whole number of conservative-lookahead
 // slots (lookahead = `dispatch_latency`): the barrier snaps past slots in
@@ -34,7 +34,7 @@
 // cross-cell traffic), so the parallel advance cannot reorder observable
 // events.
 //
-// Determinism. Epoch boundaries, dispatch decisions, mailbox order, and
+// Determinism. Epoch boundaries, dispatch decisions, delivery order, and
 // the per-cell idle-skip probe are computed serially from trace + cell
 // state alone; shards own disjoint state during the advance. RunMetrics
 // are therefore bit-identical for every shard count, including shards == 1,
@@ -67,10 +67,8 @@
 #include "ctrl/control_plane.h"
 #include "ctrl/dispatcher.h"
 #include "hw/gpu_spec.h"
-#include "mem/bump_allocator.h"
 #include "model/registry.h"
 #include "sanitizer/simsan.h"
-#include "sim/mailbox.h"
 #include "sim/sharded_sim.h"
 #include "sim/time.h"
 
@@ -154,29 +152,26 @@ class ShardedFleet {
   FleetAudit audit() const;
 
  private:
-  using ArrivalBatch = std::vector<ArrivalEvent, ArenaAllocator<ArrivalEvent>>;
-  using TimeBatch = std::vector<TimePoint, ArenaAllocator<TimePoint>>;
-
   // Contiguous [begin, end) cell range owned by `shard`.
   void ShardRange(int shard, int* begin, int* end) const;
   // Serial barrier stage: offers every arrival in the next epoch window to
   // the control plane, advances the protocol to the window's horizon,
-  // delivers the mailboxes, and returns the horizon (kTimeNever to request
-  // the final drain epoch) plus the slots it skipped.
+  // delivers the batches it committed, and returns the horizon (kTimeNever
+  // to request the final drain epoch) plus the slots it skipped.
   ShardedSim::EpochPlan PlanEpoch();
   // Outstanding load of one cell as the dispatcher sees it: injected minus
   // settled plus routed-but-undelivered (pending_routed_).
   uint64_t CellLoad(int cell) const;
-  // Delivers the barrier's mailbox content into the target cells, one
+  // Delivers the barrier's committed arrivals into the target cells, one
   // batched InjectArrivals per touched cell, each event at its own
   // committed delivery time.
-  void DeliverMailboxes();
+  void DeliverBatches();
   // True when `cell` can process an event at or before `horizon` (any
   // pending event for the final drain epoch). Reads only that cell.
-  bool CellHasWork(int cell, TimePoint horizon);
+  bool CellHasWork(int cell, TimePoint horizon) const;
   // True when any cell of `shard` can process an event at or before
   // `horizon` (serial barrier stage only).
-  bool ShardHasWork(int shard, TimePoint horizon);
+  bool ShardHasWork(int shard, TimePoint horizon) const;
 
   FleetConfig config_;
   Duration lookahead_ = kTimeNever;
@@ -184,7 +179,6 @@ class ShardedFleet {
   std::vector<std::unique_ptr<AegaeonCluster>> cells_;
   // One checker per cell; shadow state follows the cell, not the thread.
   std::vector<std::unique_ptr<simsan::SimSan>> simsan_;
-  EpochMailboxes<ArrivalEvent> mailboxes_;
   // Routing policy + replicated control plane (both barrier-stage only).
   std::unique_ptr<Dispatcher> dispatcher_;
   std::unique_ptr<ControlPlane> ctrl_;
@@ -201,16 +195,16 @@ class ShardedFleet {
   // RouteArrival's load so batched delivery sees the same arithmetic as
   // per-arrival delivery.
   std::vector<uint64_t> pending_routed_;
-  // Barrier-stage scratch, all capacity-retaining / arena-backed so the
-  // steady-state epoch loop performs no heap allocation: the collected
-  // mailbox events, one ArrivalEvent batch (plus its parallel delivery-time
-  // batch) per cell, and the list of cells touched this epoch (in
-  // first-delivery order).
-  BumpArena delivery_arena_;
-  std::vector<CrossShardEvent<ArrivalEvent>> collected_;
-  std::vector<ArrivalBatch> delivery_batches_;
-  std::vector<TimeBatch> delivery_time_batches_;
+  // Barrier-stage scratch, capacity-retaining so the steady-state epoch
+  // loop performs no heap allocation: the deliver hook appends to one
+  // ArrivalEvent batch (plus its parallel delivery-time batch) per cell
+  // and records the cells touched this epoch in first-delivery order.
+  std::vector<std::vector<ArrivalEvent>> delivery_batches_;
+  std::vector<std::vector<TimePoint>> delivery_time_batches_;
   std::vector<int> touched_cells_;
+  // Latest committed delivery time; the deliver hook asserts it never
+  // decreases.
+  TimePoint last_delivery_ = 0.0;
 
   // Incremented from parallel advances (cold path: overruns mean the
   // conservative-sync protocol itself is broken); read by audit(). The

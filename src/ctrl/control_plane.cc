@@ -16,8 +16,7 @@ constexpr int kToLeader = -1;
 ControlPlane::ControlPlane(ControlPlaneConfig config, Duration dispatch_latency, Hooks hooks)
     : config_(config),
       dispatch_latency_(dispatch_latency),
-      hooks_(std::move(hooks)),
-      network_(std::max(config.replicas, 1)) {
+      hooks_(std::move(hooks)) {
   config_.replicas = std::max(config_.replicas, 1);
 }
 
@@ -41,8 +40,6 @@ void ControlPlane::ScheduleLeaderCrash(TimePoint when, Duration downtime) {
 
 void ControlPlane::Begin() {
   // Drop anything a previous run left in the transport.
-  network_.CollectInto(net_scratch_);
-  net_scratch_.clear();
   while (!inbox_.empty()) {
     inbox_.pop();
   }
@@ -68,7 +65,7 @@ void ControlPlane::Begin() {
     Msg msg;
     msg.kind = MsgKind::kCrash;
     msg.marker = i;
-    Send(network_.Dispatcher(), kToLeader, crash_plans_[i].when, msg);
+    Send(Injector(), kToLeader, crash_plans_[i].when, msg);
   }
 }
 
@@ -77,15 +74,7 @@ TimePoint ControlPlane::NextCrashTime() const {
 }
 
 void ControlPlane::Send(uint32_t from, int target, TimePoint at, Msg msg) {
-  network_.Post(from, target, at, msg);
-}
-
-void ControlPlane::PumpNetwork() {
-  network_.CollectInto(net_scratch_);
-  for (NetEvent& event : net_scratch_) {
-    inbox_.push(event);
-  }
-  net_scratch_.clear();
+  inbox_.push(NetEvent{at, from, next_msg_seq_++, target, msg});
 }
 
 void ControlPlane::ArmTimer(uint32_t replica, TimePoint now) {
@@ -199,8 +188,8 @@ void ControlPlane::CrashLeader(TimePoint now, Duration downtime) {
   CheckCapacity();
   Msg msg;
   msg.kind = MsgKind::kRecover;
-  msg.from = network_.Dispatcher();
-  Send(network_.Dispatcher(), static_cast<int>(dead), now + downtime, msg);
+  msg.from = Injector();
+  Send(Injector(), static_cast<int>(dead), now + downtime, msg);
   leader_ = -1;
   down_since_ = now;
 }
@@ -335,7 +324,6 @@ void ControlPlane::Handle(const NetEvent& net) {
 }
 
 void ControlPlane::AdvanceTo(TimePoint t) {
-  PumpNetwork();
   while (true) {
     const TimePoint next_msg = inbox_.empty() ? kTimeNever : inbox_.top().time;
     // Due deliveries commit ahead of any same-time message: a delivery
@@ -351,7 +339,6 @@ void ControlPlane::AdvanceTo(TimePoint t) {
     inbox_.pop();
     now_ = event.time;
     Handle(event);
-    PumpNetwork();
   }
   if (t < kTimeNever && t > now_) {
     now_ = t;
@@ -371,7 +358,7 @@ void ControlPlane::Offer(const ArrivalEvent& event) {
   CheckCapacity();
 }
 
-TimePoint ControlPlane::NextPendingTime() {
+TimePoint ControlPlane::NextPendingTime() const {
   if (!log_.empty()) {
     // The in-flight delivery is the earliest external effect (queued
     // arrivals can only be routed at an even later leader transition).
@@ -382,7 +369,6 @@ TimePoint ControlPlane::NextPendingTime() {
   }
   // Leaderless with arrivals waiting: the next internal event (recovery,
   // timeout, vote) is what can eventually produce a leader and a replay.
-  PumpNetwork();
   if (inbox_.empty()) {
     std::fprintf(stderr,
                  "ControlPlane: %zu arrival(s) queued but no event can ever elect a "

@@ -8,10 +8,9 @@
 // state, all running inside the fleet's serial barrier stage:
 //
 //   * Transport. Replicas exchange messages (heartbeats, votes, crash and
-//     recovery injections) through a deterministic EpochMailboxes channel
-//     (sim/mailbox.h) — the same (time, source, seq)-ordered machinery the
-//     fleet uses for cross-shard arrivals — drained into a min-heap and
-//     processed in strict key order. Timers are self-messages. Nothing in
+//     recovery injections) through one min-heap inbox processed in strict
+//     (time, source, send order) key order; the fault injector is the
+//     highest source id. Timers are self-messages. Nothing in
 //     here reads the wall clock or an RNG, so a run is a pure function of
 //     (trace, config, fault plan) and stays bit-identical for every shard
 //     and worker count.
@@ -66,7 +65,6 @@
 
 #include "analysis/metrics.h"
 #include "core/request.h"
-#include "sim/mailbox.h"
 #include "sim/time.h"
 
 namespace aegaeon {
@@ -136,9 +134,8 @@ class ControlPlane {
   // Earliest pending external effect: the fleet's epoch planner must not
   // open a window beyond this. kTimeNever when idle (live leader, empty
   // log) — then only arrivals bound epochs, exactly as without
-  // replication. (Non-const: it may pump freshly posted transport
-  // messages into the inbox.)
-  TimePoint NextPendingTime();
+  // replication.
+  TimePoint NextPendingTime() const;
 
   // Live leader replica, or -1 while leaderless.
   int leader() const { return leader_; }
@@ -199,14 +196,22 @@ class ControlPlane {
     TimePoint deliver_at = 0.0;
   };
 
-  using NetEvent = CrossShardEvent<Msg>;
+  // One message in flight, keyed (time, source, seq). `seq` counts every
+  // send, so among messages of one source and one time it keeps send order.
+  struct NetEvent {
+    TimePoint time = 0.0;
+    uint32_t source = 0;
+    uint64_t seq = 0;
+    int target = 0;  // receiving replica; -1 for a crash (whoever leads then)
+    Msg payload{};
+  };
   struct NetAfter {
     bool operator()(const NetEvent& a, const NetEvent& b) const {
       if (a.time != b.time) {
         return a.time > b.time;
       }
-      if (a.source_shard != b.source_shard) {
-        return a.source_shard > b.source_shard;
+      if (a.source != b.source) {
+        return a.source > b.source;
       }
       return a.seq > b.seq;
     }
@@ -218,8 +223,9 @@ class ControlPlane {
   }
   // Earliest scheduled crash not yet fired; kTimeNever when none remain.
   TimePoint NextCrashTime() const;
+  // Source id of the fault injector: one past the last replica.
+  uint32_t Injector() const { return static_cast<uint32_t>(config_.replicas); }
 
-  void PumpNetwork();
   void Handle(const NetEvent& event);
   void Send(uint32_t from, int target, TimePoint at, Msg msg);
   void ArmTimer(uint32_t replica, TimePoint now);
@@ -235,9 +241,8 @@ class ControlPlane {
   Duration dispatch_latency_ = 0.0;
   Hooks hooks_;
 
-  EpochMailboxes<Msg> network_;
-  std::vector<NetEvent> net_scratch_;
   std::priority_queue<NetEvent, std::vector<NetEvent>, NetAfter> inbox_;
+  uint64_t next_msg_seq_ = 0;
 
   std::vector<Replica> replicas_;
   int leader_ = 0;

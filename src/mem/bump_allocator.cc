@@ -21,43 +21,4 @@ void BumpAllocator::ResetKeepingFront(uint64_t bytes) {
   offset_ = std::min(bytes, offset_);
 }
 
-void* BumpArena::Allocate(size_t bytes, size_t alignment) {
-  assert(alignment != 0 && (alignment & (alignment - 1)) == 0 &&
-         "alignment must be a power of 2");
-  if (bytes == 0) {
-    bytes = 1;  // distinct non-null pointers, like operator new
-  }
-  for (;;) {
-    if (current_ < chunks_.size()) {
-      Chunk& chunk = chunks_[current_];
-      // Align the pointer value itself so over-aligned requests are honored
-      // regardless of the chunk base's own alignment.
-      const uintptr_t base = reinterpret_cast<uintptr_t>(chunk.data.get());
-      const uintptr_t aligned =
-          (base + offset_ + alignment - 1) & ~static_cast<uintptr_t>(alignment - 1);
-      const size_t head = static_cast<size_t>(aligned - base);
-      if (head <= chunk.size && chunk.size - head >= bytes) {
-        offset_ = head + bytes;
-        used_ += bytes;
-        return reinterpret_cast<void*>(aligned);
-      }
-      // Does not fit: abandon the tail of this chunk and try the next
-      // retained one (Reset() path) before growing.
-      ++current_;
-      offset_ = 0;
-      continue;
-    }
-    // Chunk data from operator new[] is aligned for std::max_align_t; an
-    // over-aligned request pads so the in-chunk alignment math stays valid.
-    const size_t slack = alignment > alignof(std::max_align_t) ? alignment : 0;
-    const size_t size = std::max(chunk_bytes_, bytes + slack);
-    Chunk chunk;
-    chunk.data = std::make_unique<unsigned char[]>(size);
-    chunk.size = size;
-    reserved_ += size;
-    ++chunk_allocs_;
-    chunks_.push_back(std::move(chunk));
-  }
-}
-
 }  // namespace aegaeon

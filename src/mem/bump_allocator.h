@@ -1,5 +1,3 @@
-// Bump allocation, in two flavors.
-//
 // BumpAllocator — the self-managed VRAM buffer of §5.2. Aegaeon requests
 // all VRAM needed for weights and KV cache in a single allocation at
 // startup and manages it with bump allocation: allocations advance a
@@ -11,23 +9,12 @@
 // with an on-device copy, modeled by resetting the bump pointer to just
 // past the promoted region. BumpAllocator tracks offsets only — the
 // simulation never touches real VRAM.
-//
-// BumpArena / ArenaAllocator — real host memory for the sharded fleet's
-// per-epoch scratch (mailbox boxes, delivery batches). A BumpArena hands
-// out pointers from a chain of chunks; Reset() rewinds to the first chunk
-// but *retains* every chunk, so after a warm-up run the arena satisfies all
-// allocations without touching malloc — the property the fleet's advance
-// loop relies on for zero steady-state allocation. Not thread-safe: the
-// fleet gives each concurrent producer (shard) its own arena.
 
 #ifndef AEGAEON_MEM_BUMP_ALLOCATOR_H_
 #define AEGAEON_MEM_BUMP_ALLOCATOR_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
 namespace aegaeon {
 
@@ -55,102 +42,6 @@ class BumpAllocator {
   uint64_t capacity_;
   uint64_t offset_ = 0;
   uint64_t high_water_ = 0;
-};
-
-// A chunked host-memory bump arena. Allocate() is pointer-bump fast;
-// individual frees do not exist. Reset() rewinds the arena but keeps every
-// chunk, so steady-state use (allocate a bounded working set, reset, repeat
-// — or let reused containers hold their peak capacity) performs no heap
-// allocation after warm-up. Outstanding pointers are invalidated by Reset()
-// and by destruction, never by other Allocate() calls.
-class BumpArena {
- public:
-  static constexpr size_t kDefaultChunkBytes = 64 * 1024;
-
-  explicit BumpArena(size_t chunk_bytes = kDefaultChunkBytes)
-      : chunk_bytes_(chunk_bytes == 0 ? kDefaultChunkBytes : chunk_bytes) {}
-
-  BumpArena(const BumpArena&) = delete;
-  BumpArena& operator=(const BumpArena&) = delete;
-
-  // Returns `bytes` of storage aligned to `alignment` (a power of two).
-  // Requests larger than the chunk size get a dedicated chunk.
-  void* Allocate(size_t bytes, size_t alignment);
-
-  // Rewinds to the first chunk, retaining all chunks for reuse. Outstanding
-  // allocations become invalid.
-  void Reset() {
-    current_ = 0;
-    offset_ = 0;
-    used_ = 0;
-  }
-
-  // Bytes handed out since the last Reset() (including alignment padding).
-  size_t bytes_used() const { return used_; }
-  // Total chunk bytes held, reused across Reset() cycles.
-  size_t bytes_reserved() const { return reserved_; }
-  size_t chunks() const { return chunks_.size(); }
-  // Heap allocations performed by the arena itself (== chunks created);
-  // flat across steady-state epochs, which is what the tests assert.
-  uint64_t chunk_allocs() const { return chunk_allocs_; }
-
- private:
-  struct Chunk {
-    std::unique_ptr<unsigned char[]> data;
-    size_t size = 0;
-  };
-
-  std::vector<Chunk> chunks_;
-  size_t chunk_bytes_;
-  size_t current_ = 0;   // chunk being bumped
-  size_t offset_ = 0;    // within chunks_[current_]
-  size_t used_ = 0;
-  size_t reserved_ = 0;
-  uint64_t chunk_allocs_ = 0;
-};
-
-// Minimal STL allocator over a BumpArena: allocate() bumps the arena,
-// deallocate() is a no-op (Reset() reclaims everything at once). With a
-// null arena it degrades to plain operator new/delete, so arena-backed
-// containers stay usable in contexts that have no arena. Equality compares
-// the arena, per the allocator requirements: containers swap/propagate
-// correctly only between allocators drawing from the same arena.
-template <typename T>
-class ArenaAllocator {
- public:
-  using value_type = T;
-
-  ArenaAllocator() = default;
-  explicit ArenaAllocator(BumpArena* arena) : arena_(arena) {}
-
-  template <typename U>
-  ArenaAllocator(const ArenaAllocator<U>& other) : arena_(other.arena()) {}
-
-  T* allocate(size_t n) {
-    if (arena_ == nullptr) {
-      return static_cast<T*>(::operator new(n * sizeof(T)));
-    }
-    return static_cast<T*>(arena_->Allocate(n * sizeof(T), alignof(T)));
-  }
-
-  void deallocate(T* p, size_t /*n*/) {
-    if (arena_ == nullptr) {
-      ::operator delete(p);
-    }
-    // Arena-backed storage is reclaimed wholesale by BumpArena::Reset().
-  }
-
-  BumpArena* arena() const { return arena_; }
-
-  friend bool operator==(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return a.arena_ == b.arena_;
-  }
-  friend bool operator!=(const ArenaAllocator& a, const ArenaAllocator& b) {
-    return !(a == b);
-  }
-
- private:
-  BumpArena* arena_ = nullptr;
 };
 
 }  // namespace aegaeon

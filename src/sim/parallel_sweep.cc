@@ -1,19 +1,30 @@
 #include "sim/parallel_sweep.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <thread>
+
+#include "sim/parse_number.h"
 
 namespace aegaeon {
 
+namespace {
+
+// Upper bound on an AEGAEON_SWEEP_THREADS override.
+constexpr int kMaxThreads = 1024;
+
+}  // namespace
+
 int ParallelSweep::DefaultThreads() {
   if (const char* env = std::getenv("AEGAEON_SWEEP_THREADS")) {
-    char* end = nullptr;
-    long parsed = std::strtol(env, &end, 10);
-    if (end != env && parsed > 0 && parsed <= 1024) {
-      return static_cast<int>(parsed);
+    int parsed = 0;
+    if (!ParseNumber(env, &parsed) || parsed <= 0 || parsed > kMaxThreads) {
+      std::fprintf(stderr, "AEGAEON_SWEEP_THREADS='%s': expected an integer in [1, %d]\n", env,
+                   kMaxThreads);
+      std::abort();
     }
+    return parsed;
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

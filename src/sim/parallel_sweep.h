@@ -10,7 +10,8 @@
 // (see SimPerfCounters, which is reported separately for this reason).
 //
 // Worker count: an explicit argument wins; otherwise the AEGAEON_SWEEP_THREADS
-// environment variable; otherwise std::thread::hardware_concurrency().
+// environment variable (an invalid value aborts); otherwise
+// std::thread::hardware_concurrency().
 
 #ifndef AEGAEON_SIM_PARALLEL_SWEEP_H_
 #define AEGAEON_SIM_PARALLEL_SWEEP_H_
@@ -34,6 +35,7 @@ class ParallelSweep {
   int thread_count() const { return pool_.size(); }
 
   // AEGAEON_SWEEP_THREADS override, else hardware_concurrency(), min 1.
+  // Aborts with an error when the override is not an integer in [1, 1024].
   static int DefaultThreads();
 
   // Worker budget per sweep task when each task is itself `intra`-way

@@ -12,8 +12,8 @@
 // ShardedSim is the executor for that protocol. Run() alternates two stages:
 //
 //   1. a serial *barrier stage* (`plan`) that runs with every shard quiescent
-//      at the barrier time — it delivers cross-shard mailboxes, makes
-//      dispatch decisions, and picks the next horizon (possibly skipping
+//      at the barrier time — it makes dispatch decisions, delivers their
+//      results into the shards, and picks the next horizon (possibly skipping
 //      over lookahead slots in which nothing observable happens);
 //   2. a parallel *advance stage* (`advance`) that runs every shard with
 //      runnable work up to that horizon on a gang of persistent workers

@@ -18,12 +18,12 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-EventId Simulator::At(TimePoint when, EventQueue::Callback cb) {
-  return queue_.Push(std::max(when, now_), std::move(cb));
+void Simulator::At(TimePoint when, EventQueue::Callback cb) {
+  queue_.Push(std::max(when, now_), std::move(cb));
 }
 
-EventId Simulator::After(Duration delay, EventQueue::Callback cb) {
-  return At(now_ + std::max(delay, 0.0), std::move(cb));
+void Simulator::After(Duration delay, EventQueue::Callback cb) {
+  At(now_ + std::max(delay, 0.0), std::move(cb));
 }
 
 void Simulator::ScheduleBatch(EventQueue::Pending* batch, size_t count) {

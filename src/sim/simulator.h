@@ -57,26 +57,23 @@ class Simulator {
 
   // Schedules `cb` at absolute time `when`. Scheduling in the past is a
   // programming error; the event is clamped to Now() to keep time monotonic.
-  EventId At(TimePoint when, EventQueue::Callback cb);
+  void At(TimePoint when, EventQueue::Callback cb);
 
   // Schedules `cb` after `delay` seconds (negative delays clamp to zero).
-  EventId After(Duration delay, EventQueue::Callback cb);
+  void After(Duration delay, EventQueue::Callback cb);
 
   // Bulk-schedules a batch in input order (FIFO tie-break preserved),
   // clamping past timestamps to Now() like At(). Used by trace loading and
-  // the sharded simulator's epoch-boundary mailbox delivery, where pushing
-  // thousands of arrivals one heap sift at a time would dominate the
-  // barrier stage. Consumes the callbacks but leaves the storage with the
-  // caller (see EventQueue::Merge), so injection scratch keeps its capacity.
+  // the sharded fleet's barrier-stage delivery, where pushing thousands of
+  // arrivals one heap sift at a time would dominate the barrier stage.
+  // Consumes the callbacks but leaves the storage with the caller (see
+  // EventQueue::Merge), so injection scratch keeps its capacity.
   void ScheduleBatch(EventQueue::Pending* batch, size_t count);
 
   // Time of the earliest pending event; kTimeNever when the queue is empty.
   // The sharded fleet's barrier stage uses this to pick the next horizon
-  // and to skip idle cells. Non-const: reading the front may reclaim
-  // cancelled tombstones.
-  TimePoint NextEventTime() { return queue_.NextTime(); }
-
-  bool Cancel(EventId id) { return queue_.Cancel(id); }
+  // and to skip idle cells.
+  TimePoint NextEventTime() const { return queue_.NextTime(); }
 
   // Runs until the queue is empty. Returns the number of events processed.
   uint64_t Run();

@@ -138,6 +138,7 @@ TEST(FaultPlanTest, ListParsingStopsAtFirstBadRow) {
 }
 
 // A deliver/unroute recorder: the control plane's only view of the fleet.
+// Its deliver hook checks the commit order the fleet relies on.
 struct HookLog {
   struct Delivery {
     TimePoint at = 0.0;
@@ -155,6 +156,11 @@ struct HookLog {
       return target;
     };
     hooks.deliver = [this](const ArrivalEvent& event, int cell, TimePoint at) {
+      // The fleet appends deliveries to per-cell batches in call order, so
+      // it relies on commits arriving in nondecreasing deliver_at order.
+      if (!deliveries.empty()) {
+        EXPECT_GE(at, deliveries.back().at) << "delivery out of order";
+      }
       deliveries.push_back(Delivery{at, event.time, cell});
     };
     hooks.unroute = [this](int) { ++unroutes; };

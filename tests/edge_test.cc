@@ -90,16 +90,6 @@ TEST(EdgeTest, ModelServerEstimatedWorkTracksQueueAndBatch) {
   EXPECT_LT(server.EstimatedWork(), queued);
 }
 
-TEST(EdgeTest, SimulatorCancelPreventsCallback) {
-  Simulator sim;
-  bool fired = false;
-  EventId id = sim.After(1.0, [&] { fired = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_FALSE(fired);
-  EXPECT_FALSE(sim.pending());
-}
-
 TEST(EdgeTest, ZeroDecodeBudgetStillServesViaMinimumBatch) {
   // gpu_kv_bytes smaller than one expected request: MaxBatchForModel floors
   // at 1 and the admission budget still lets single requests through.

@@ -60,85 +60,6 @@ TEST(BumpAllocatorTest, OverflowNearCapacityIsSafe) {
   EXPECT_FALSE(bump.Alloc(1, 64).has_value());
 }
 
-// --- BumpArena --------------------------------------------------------------
-
-TEST(BumpArenaTest, AllocationsAreAlignedAndDistinct) {
-  BumpArena arena(256);
-  void* a = arena.Allocate(10, 8);
-  void* b = arena.Allocate(10, 8);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % 8, 0u);
-  // Over-aligned requests are honored on the pointer value itself.
-  void* c = arena.Allocate(10, 64);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % 64, 0u);
-  EXPECT_EQ(arena.chunks(), 1u);
-}
-
-TEST(BumpArenaTest, GrowsByChunksAndOversizedGetsDedicatedChunk) {
-  BumpArena arena(64);
-  arena.Allocate(48, 8);
-  arena.Allocate(48, 8);  // does not fit chunk 1 -> chunk 2
-  EXPECT_EQ(arena.chunks(), 2u);
-  void* big = arena.Allocate(1000, 8);  // larger than chunk size
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(arena.chunks(), 3u);
-  EXPECT_GE(arena.bytes_reserved(), 64u + 64u + 1000u);
-}
-
-TEST(BumpArenaTest, ResetRetainsChunksForReuse) {
-  BumpArena arena(128);
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (int i = 0; i < 10; ++i) {
-      arena.Allocate(40, 8);
-    }
-    arena.Reset();
-  }
-  const uint64_t warm = arena.chunk_allocs();
-  EXPECT_EQ(warm, arena.chunks());
-  // Steady state: identical cycles never touch the heap again, and the
-  // retained chunks are walked in order.
-  for (int cycle = 0; cycle < 20; ++cycle) {
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_NE(arena.Allocate(40, 8), nullptr);
-    }
-    EXPECT_EQ(arena.bytes_used(), 400u);
-    arena.Reset();
-    EXPECT_EQ(arena.bytes_used(), 0u);
-  }
-  EXPECT_EQ(arena.chunk_allocs(), warm);
-}
-
-TEST(ArenaAllocatorTest, VectorDrawsFromArenaAndNullArenaFallsBack) {
-  BumpArena arena;
-  std::vector<int, ArenaAllocator<int>> vec{ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) {
-    vec.push_back(i);
-  }
-  EXPECT_GT(arena.bytes_used(), 1000u * sizeof(int) - 1);  // growth came from the arena
-  EXPECT_EQ(vec[999], 999);
-  const uint64_t warm = arena.chunk_allocs();
-  // clear() keeps capacity: refilling to the same size allocates nothing.
-  vec.clear();
-  for (int i = 0; i < 1000; ++i) {
-    vec.push_back(i);
-  }
-  EXPECT_EQ(arena.chunk_allocs(), warm);
-  // Allocator equality follows the arena, per the STL requirements
-  // (rebinding across value types preserves it).
-  const ArenaAllocator<int> rebound{ArenaAllocator<long>(&arena)};
-  EXPECT_TRUE(ArenaAllocator<int>(&arena) == rebound);
-  EXPECT_FALSE(ArenaAllocator<int>(&arena) == ArenaAllocator<int>());
-  // A default (null-arena) allocator degrades to the heap and still works.
-  std::vector<int, ArenaAllocator<int>> plain;
-  for (int i = 0; i < 100; ++i) {
-    plain.push_back(i);
-  }
-  EXPECT_EQ(plain[99], 99);
-}
-
 // --- SlabAllocator ----------------------------------------------------------
 
 TEST(SlabAllocatorTest, AllocatesRegisteredShapes) {

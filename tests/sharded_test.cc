@@ -1,5 +1,5 @@
-// Tests for the sharded fleet simulation (core/fleet.h, sim/sharded_sim.h,
-// sim/mailbox.h): conservative-sync determinism, serial equivalence, load
+// Tests for the sharded fleet simulation (core/fleet.h, sim/sharded_sim.h):
+// conservative-sync determinism, serial equivalence, load
 // balancing, and the SimSan per-cell audit.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/fleet.h"
 #include "hw/gpu_spec.h"
 #include "model/registry.h"
-#include "sim/mailbox.h"
 #include "sim/sharded_sim.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
@@ -64,57 +63,6 @@ void ExpectBitIdentical(const RunMetrics& a, const RunMetrics& b) {
     EXPECT_EQ(a.switch_latency_samples[i], b.switch_latency_samples[i]) << "switch " << i;
   }
   EXPECT_EQ(a.sim.events_processed, b.sim.events_processed);
-}
-
-TEST(MailboxTest, CollectOrdersByTimeSourceSeq) {
-  EpochMailboxes<int> boxes(3);
-  boxes.Post(1, 0, 5.0, 10);
-  boxes.Post(0, 1, 5.0, 20);   // same time, lower source -> first
-  boxes.Post(2, 2, 1.0, 30);   // earliest time -> very first
-  boxes.Post(0, 1, 5.0, 40);   // same (time, source), later seq -> after 20
-  boxes.Post(boxes.Dispatcher(), 0, 5.0, 50);  // dispatcher is the highest source id
-  auto events = boxes.Collect();
-  ASSERT_EQ(events.size(), 5u);
-  EXPECT_EQ(events[0].payload, 30);
-  EXPECT_EQ(events[1].payload, 20);
-  EXPECT_EQ(events[2].payload, 40);
-  EXPECT_EQ(events[3].payload, 10);
-  EXPECT_EQ(events[4].payload, 50);
-  EXPECT_TRUE(boxes.empty());
-  // A second collect is empty, and posting after a collect works.
-  EXPECT_TRUE(boxes.Collect().empty());
-  boxes.Post(0, 0, 9.0, 60);
-  EXPECT_FALSE(boxes.empty());
-  EXPECT_EQ(boxes.Collect().size(), 1u);
-}
-
-// The zero-steady-state-allocation contract: boxes grow from per-source
-// arenas and a reused CollectInto scratch keeps its capacity, so post/
-// collect cycles stop allocating once warmed up.
-TEST(MailboxTest, CollectIntoReusesScratchAndArenas) {
-  EpochMailboxes<int> boxes(2);
-  std::vector<CrossShardEvent<int>> scratch;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    for (int i = 0; i < 100; ++i) {
-      boxes.Post(static_cast<uint32_t>(i % 2), i % 3, static_cast<double>(i), i);
-    }
-    boxes.CollectInto(scratch);
-    ASSERT_EQ(scratch.size(), 100u);
-    EXPECT_TRUE(boxes.empty());
-  }
-  const size_t warm_capacity = scratch.capacity();
-  const uint64_t warm_chunks = boxes.arena(0).chunk_allocs();
-  EXPECT_GT(warm_chunks, 0u);
-  for (int cycle = 0; cycle < 16; ++cycle) {
-    for (int i = 0; i < 100; ++i) {
-      boxes.Post(static_cast<uint32_t>(i % 2), i % 3, static_cast<double>(i), i);
-    }
-    boxes.CollectInto(scratch);
-    EXPECT_EQ(scratch[0].seq, static_cast<uint64_t>(cycle + 4) * 50);
-  }
-  // Steady state: no new arena chunks, no scratch regrowth.
-  EXPECT_EQ(boxes.arena(0).chunk_allocs(), warm_chunks);
-  EXPECT_EQ(scratch.capacity(), warm_capacity);
 }
 
 TEST(ShardedSimTest, EpochLoopRunsPlanAndAdvance) {

@@ -86,38 +86,6 @@ TEST(EventQueueTest, NextTimeReportsEarliest) {
   EXPECT_DOUBLE_EQ(queue.NextTime(), 2.5);
 }
 
-// Satellite coverage for the fleet's idle-skip probe: NextTime must be
-// right when the queue is empty, when the front is a tombstone, and after
-// the amortized compaction pass has rebuilt the heap.
-TEST(EventQueueTest, NextTimeSkipsTombstonesAndSurvivesCompaction) {
-  EventQueue queue;
-  EXPECT_EQ(queue.NextTime(), kTimeNever);
-  // Front-of-heap tombstones: cancelling the earliest events must expose
-  // the first live one (and reclaim the tombstones as a side effect).
-  EventId first = queue.Push(1.0, [] {});
-  EventId second = queue.Push(2.0, [] {});
-  queue.Push(3.0, [] {});
-  EXPECT_TRUE(queue.Cancel(first));
-  EXPECT_TRUE(queue.Cancel(second));
-  EXPECT_DOUBLE_EQ(queue.NextTime(), 3.0);
-  EXPECT_EQ(queue.heap_size(), 1u);  // tombstones reclaimed by the read
-  queue.PopAndRun();
-  EXPECT_EQ(queue.NextTime(), kTimeNever);
-  // Compaction path: enough mid-heap cancellations to trigger the rebuild
-  // (heap >= 64 entries, tombstones > half). The earliest survivor must
-  // still be reported afterwards.
-  std::vector<EventId> ids;
-  for (int i = 0; i < 128; ++i) {
-    ids.push_back(queue.Push(100.0 + i, [] {}));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(queue.Cancel(ids[static_cast<size_t>(i)]));
-  }
-  EXPECT_LT(queue.heap_size(), 128u);  // compaction ran
-  EXPECT_DOUBLE_EQ(queue.NextTime(), 200.0);
-  EXPECT_EQ(queue.size(), 28u);
-}
-
 TEST(EventQueueTest, MergeRangeLeavesCallerStorage) {
   EventQueue queue;
   queue.Push(5.0, [] {});
@@ -143,34 +111,13 @@ TEST(EventQueueTest, MergeRangeLeavesCallerStorage) {
 TEST(SimulatorTest, NextEventTimeTracksQueue) {
   Simulator sim;
   EXPECT_EQ(sim.NextEventTime(), kTimeNever);
-  EventId id = sim.At(4.0, [] {});
+  sim.At(4.0, [] {});
   sim.At(6.0, [] {});
   EXPECT_DOUBLE_EQ(sim.NextEventTime(), 4.0);
-  sim.Cancel(id);
+  sim.RunUntil(5.0);
   EXPECT_DOUBLE_EQ(sim.NextEventTime(), 6.0);
   sim.Run();
   EXPECT_EQ(sim.NextEventTime(), kTimeNever);
-}
-
-TEST(EventQueueTest, CancelSkipsEvent) {
-  EventQueue queue;
-  bool fired = false;
-  EventId id = queue.Push(1.0, [&] { fired = true; });
-  queue.Push(2.0, [] {});
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_DOUBLE_EQ(queue.NextTime(), 2.0);
-  queue.PopAndRun();
-  EXPECT_FALSE(fired);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(EventQueueTest, DoubleCancelFails) {
-  EventQueue queue;
-  EventId id = queue.Push(1.0, [] {});
-  EXPECT_TRUE(queue.Cancel(id));
-  EXPECT_FALSE(queue.Cancel(id));
-  EXPECT_FALSE(queue.Cancel(9999));
 }
 
 TEST(EventCallbackTest, MoveOnlyCapture) {
@@ -216,121 +163,6 @@ TEST(EventCallbackTest, MoveOnlyCaptureThroughQueue) {
   queue.Push(1.0, [v = std::move(value), &result] { result = *v; });
   queue.PopAndRun();
   EXPECT_EQ(result, 10);
-}
-
-TEST(EventQueueTest, FifoPreservedAcrossCancellations) {
-  // Interleave cancellations with same-timestamp pushes: survivors must
-  // still fire in scheduling order after the tombstone rework.
-  EventQueue queue;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 64; ++i) {
-    ids.push_back(queue.Push(5.0, [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 0; i < 64; i += 3) {
-    EXPECT_TRUE(queue.Cancel(ids[i]));
-  }
-  while (!queue.empty()) {
-    queue.PopAndRun();
-  }
-  std::vector<int> expected;
-  for (int i = 0; i < 64; ++i) {
-    if (i % 3 != 0) {
-      expected.push_back(i);
-    }
-  }
-  EXPECT_EQ(order, expected);
-}
-
-TEST(EventQueueTest, CancelAfterFireFails) {
-  EventQueue queue;
-  EventId id = queue.Push(1.0, [] {});
-  queue.PopAndRun();
-  // The slot generation was bumped when the event fired; the stale handle
-  // must be rejected (the old implementation accepted it and leaked).
-  EXPECT_FALSE(queue.Cancel(id));
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(EventQueueTest, BoundedMemoryOverScheduleCancelCycles) {
-  // 1M schedule/cancel cycles with a few live events: tombstones must be
-  // reclaimed (amortized compaction), not accumulate for the whole horizon.
-  EventQueue queue;
-  for (int live = 0; live < 4; ++live) {
-    queue.Push(1e12 + live, [] {});
-  }
-  for (int cycle = 0; cycle < 1000000; ++cycle) {
-    EventId id = queue.Push(static_cast<double>(cycle), [] {});
-    ASSERT_TRUE(queue.Cancel(id));
-  }
-  EXPECT_EQ(queue.size(), 4u);
-  // Heap: live entries plus a bounded tombstone backlog (compaction keeps
-  // tombstones <= half the heap, and the heap never exceeds the compaction
-  // floor while live_count_ is tiny).
-  EXPECT_LE(queue.heap_size(), 128u);
-  // Slots are recycled through the free list rather than grown per push.
-  EXPECT_LE(queue.slot_capacity(), 128u);
-  while (!queue.empty()) {
-    queue.PopAndRun();
-  }
-  EXPECT_EQ(queue.heap_size(), 0u);
-}
-
-TEST(EventQueueTest, DrainExtractsLiveEventsInFireOrder) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.Push(3.0, [&] { order.push_back(3); });
-  queue.Push(1.0, [&] { order.push_back(1); });
-  EventId cancelled = queue.Push(2.0, [&] { order.push_back(2); });
-  queue.Push(1.0, [&] { order.push_back(11); });  // same time: FIFO after 1
-  ASSERT_TRUE(queue.Cancel(cancelled));
-  auto pending = queue.Drain();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.heap_size(), 0u);
-  // Tombstones are discarded; live events come back in (when, seq) order —
-  // exactly the order PopAndRun would have fired them.
-  ASSERT_EQ(pending.size(), 3u);
-  EXPECT_EQ(pending[0].when, 1.0);
-  EXPECT_EQ(pending[1].when, 1.0);
-  EXPECT_EQ(pending[2].when, 3.0);
-  for (auto& p : pending) {
-    p.cb();
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 11, 3}));
-}
-
-TEST(EventQueueTest, DrainInvalidatesIdsAcrossEpochRollovers) {
-  // Regression: epoch boundaries move events between queues via
-  // Drain()/Merge(). A cancellation id issued before a drain must stay
-  // invalid afterwards, even when its slot has been reused by merged
-  // events — otherwise a cross-epoch Cancel would kill the wrong event.
-  EventQueue queue;
-  EventId stale = queue.Push(1.0, [] {});
-  auto pending = queue.Drain();
-  ASSERT_EQ(pending.size(), 1u);
-  // The drained slot gets reused immediately by the merge; the pre-drain id
-  // must still be rejected (generation bump), not cancel the new tenant.
-  queue.Merge(pending.data(), pending.size());
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_FALSE(queue.Cancel(stale));
-  EXPECT_EQ(queue.size(), 1u);
-  // Several rollovers in a row keep the invariant.
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    EventId id = queue.Push(2.0 + epoch, [] {});
-    auto batch = queue.Drain();
-    queue.Merge(batch.data(), batch.size());
-    EXPECT_FALSE(queue.Cancel(id)) << "epoch " << epoch;
-  }
-  EXPECT_EQ(queue.size(), 5u);
-  // The post-merge events are real: they all fire.
-  int fired = 0;
-  while (!queue.empty()) {
-    queue.NextTime();
-    queue.PopAndRun();
-    ++fired;
-  }
-  EXPECT_EQ(fired, 5);
 }
 
 TEST(EventQueueTest, MergePreservesFifoAgainstExistingEvents) {
@@ -426,8 +258,17 @@ TEST(ParallelSweepTest, MapPreservesInputOrder) {
 TEST(ParallelSweepTest, ThreadCountEnvOverride) {
   ASSERT_EQ(setenv("AEGAEON_SWEEP_THREADS", "3", 1), 0);
   EXPECT_EQ(ParallelSweep::DefaultThreads(), 3);
-  ASSERT_EQ(setenv("AEGAEON_SWEEP_THREADS", "not-a-number", 1), 0);
+  ASSERT_EQ(unsetenv("AEGAEON_SWEEP_THREADS"), 0);
   EXPECT_GE(ParallelSweep::DefaultThreads(), 1);
+}
+
+// A bad override is an error, not a silent fallback. Only DefaultThreads()
+// runs under the bad value, so no test here starts a thread with it.
+TEST(ParallelSweepDeathTest, InvalidThreadCountEnvAborts) {
+  for (const char* bad : {"not-a-number", "0", "-2", "1025", "3x"}) {
+    ASSERT_EQ(setenv("AEGAEON_SWEEP_THREADS", bad, 1), 0);
+    EXPECT_DEATH(ParallelSweep::DefaultThreads(), "AEGAEON_SWEEP_THREADS") << bad;
+  }
   ASSERT_EQ(unsetenv("AEGAEON_SWEEP_THREADS"), 0);
 }
 

@@ -182,6 +182,7 @@ void WriteMetricsJson(std::ostream& os, const RunMetrics& metrics) {
   // measured, not simulated — dashboards must not diff them across runs.
   os << "\"sim\":{"
      << "\"events_processed\":" << metrics.sim.events_processed << ","
+     << "\"heap_peak\":" << metrics.sim.heap_peak << ","
      << "\"wall_seconds\":" << metrics.sim.wall_seconds << ","
      << "\"events_per_sec\":" << metrics.sim.EventsPerSec();
   if (metrics.sync_epochs > 0) {

@@ -189,12 +189,7 @@ bool UnifiedCluster::RunDecode(Instance& inst) {
       for (Request* r : active) {
         const SloSpec& slo = registry_.Get(r->model).slo;
         int64_t steps_r = std::min<int64_t>(steps, r->remaining_tokens());
-        for (int64_t j = 0; j < steps_r; ++j) {
-          TimePoint token_time = span.start + static_cast<double>(j + 1) * step;
-          if (token_time <= slo.DeadlineFor(r->arrival, r->generated + j)) {
-            r->tokens_met++;
-          }
-        }
+        r->tokens_met += slo.CountMetTokens(r->arrival, r->generated, span.start, step, steps_r);
         r->generated += steps_r;
         r->decode_exec += static_cast<double>(steps_r) * step;
         inst.kv_resident_bytes += static_cast<double>(steps_r) * KvBytesPerToken(r->model);

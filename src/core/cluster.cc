@@ -729,18 +729,24 @@ bool AegaeonCluster::TryAssignDecode(Request* request) {
   // Keep a small headroom: actual context lengths overshoot the estimate.
   // Software-aging fragmentation shrinks the usable pool over time.
   const double budget = 0.9 * config_.gpu_kv_bytes / AgingKvFactor(sim_.Now());
+  const auto has_room = [expected, budget](const DecodeUnit& unit) {
+    return !unit.failed && unit.committed_kv_bytes + expected <= budget;
+  };
+  // Most calls come from DrainDecodeOverflow on a saturated cell and fail
+  // here, before the pick's scratch vectors are built.
+  if (std::none_of(decode_units_.begin(), decode_units_.end(), has_room)) {
+    return false;
+  }
 
   std::vector<size_t> sizes(decode_units_.size());
   std::vector<bool> has_model(decode_units_.size(), false);
-  bool any_capacity = false;
   for (size_t i = 0; i < decode_units_.size(); ++i) {
     DecodeUnit& unit = decode_units_[i];
     sizes[i] = unit.work_list.size();
-    if (unit.failed || unit.committed_kv_bytes + expected > budget) {
+    if (!has_room(unit)) {
       sizes[i] = std::numeric_limits<size_t>::max();  // ineligible
       continue;
     }
-    any_capacity = true;
     // Locality: a unit on another node costs a fabric hop for the KV; bias
     // the least-loaded choice toward the KV's home node.
     if (unit.node != request->kv.node) {
@@ -753,9 +759,6 @@ bool AegaeonCluster::TryAssignDecode(Request* request) {
         break;
       }
     }
-  }
-  if (!any_capacity) {
-    return false;
   }
   int pick = PickDecodeInstance(sizes, has_model);
   DecodeUnit& unit = decode_units_[pick];
@@ -1077,19 +1080,13 @@ void AegaeonCluster::RunTurn(DecodeUnit& unit) {
           });
 }
 
-void AegaeonCluster::FinishTurn(DecodeUnit& unit, std::vector<Request*> active,
+void AegaeonCluster::FinishTurn(DecodeUnit& unit, const std::vector<Request*>& active,
                                 TimePoint exec_start, Duration step_time, int64_t steps) {
   for (Request* r : active) {
     const SloSpec& slo = registry_.Get(r->model).slo;
     int64_t steps_r = std::min<int64_t>(steps, r->remaining_tokens());
     // Token k of the turn materializes after k+1 steps.
-    for (int64_t j = 0; j < steps_r; ++j) {
-      TimePoint token_time = exec_start + static_cast<double>(j + 1) * step_time;
-      int64_t token_index = r->generated + j;
-      if (token_time <= slo.DeadlineFor(r->arrival, token_index)) {
-        r->tokens_met++;
-      }
-    }
+    r->tokens_met += slo.CountMetTokens(r->arrival, r->generated, exec_start, step_time, steps_r);
     // Decode waiting: the gap since this request last made progress.
     if (r->last_progress != kTimeUnset) {
       r->decode_wait += std::max(0.0, exec_start - r->last_progress);

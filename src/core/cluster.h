@@ -233,7 +233,7 @@ class AegaeonCluster {
   bool TrySwapIn(DecodeUnit& unit, Request* request);
   void StartRound(DecodeUnit& unit);
   void RunTurn(DecodeUnit& unit);
-  void FinishTurn(DecodeUnit& unit, std::vector<Request*> active, TimePoint exec_start,
+  void FinishTurn(DecodeUnit& unit, const std::vector<Request*>& active, TimePoint exec_start,
                   Duration step_time, int64_t steps);
 
   // KV shape-class id of `model` in `cache` (pre-registered).

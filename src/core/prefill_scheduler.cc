@@ -31,6 +31,9 @@ PrefillScheduler::Ticks PrefillScheduler::SwitchTicks(ModelId from, ModelId to) 
 void PrefillScheduler::PopExhausted(InstanceQueue& queue) const {
   while (!queue.groups.empty() && queue.groups.front().pending.empty()) {
     ModelId retired = queue.groups.front().model;
+    if (queue.groups.front().accumulated < max_group_size_) {
+      queue.open_groups[retired]--;
+    }
     queue.groups.pop_front();
     if (!queue.groups.empty()) {
       queue.switch_sum -= SwitchTicks(retired, queue.groups.front().model);
@@ -49,15 +52,20 @@ Duration PrefillScheduler::LoadEstimate(int i) const {
 
 int PrefillScheduler::OnArrival(Request* request) {
   // Lines 4-8: prioritize an existing group for this model with room left.
+  const ModelId model = request->model;
   for (size_t i = 0; i < queues_.size(); ++i) {
-    if (!queues_[i].available) {
+    InstanceQueue& queue = queues_[i];
+    if (!queue.available || model >= queue.open_groups.size() ||
+        queue.open_groups[model] == 0) {
       continue;
     }
-    for (Group& group : queues_[i].groups) {
-      if (group.model == request->model && group.accumulated < max_group_size_) {
+    for (Group& group : queue.groups) {
+      if (group.model == model && group.accumulated < max_group_size_) {
         group.pending.push_back(request);
-        group.accumulated++;
-        queues_[i].exec_sum += ExecTicks(*request);
+        if (++group.accumulated == max_group_size_) {
+          queue.open_groups[model]--;
+        }
+        queue.exec_sum += ExecTicks(*request);
         return static_cast<int>(i);
       }
     }
@@ -77,14 +85,20 @@ int PrefillScheduler::OnArrival(Request* request) {
   }
   InstanceQueue& queue = queues_[best];
   if (!queue.groups.empty()) {
-    queue.switch_sum += SwitchTicks(queue.groups.back().model, request->model);
+    queue.switch_sum += SwitchTicks(queue.groups.back().model, model);
   }
   queue.exec_sum += ExecTicks(*request);
   Group group;
-  group.model = request->model;
+  group.model = model;
   group.pending.push_back(request);
   group.accumulated = 1;
   queue.groups.push_back(std::move(group));
+  if (max_group_size_ > 1) {
+    if (model >= queue.open_groups.size()) {
+      queue.open_groups.resize(model + 1, 0);
+    }
+    queue.open_groups[model]++;
+  }
   return best;
 }
 
@@ -130,6 +144,7 @@ std::vector<Request*> PrefillScheduler::DrainQueue(int i) {
     drained.insert(drained.end(), group.pending.begin(), group.pending.end());
   }
   queue.groups.clear();
+  queue.open_groups.clear();
   queue.exec_sum = 0;
   queue.switch_sum = 0;
   return drained;

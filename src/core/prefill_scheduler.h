@@ -89,11 +89,15 @@ class PrefillScheduler {
     bool available = true;
     Ticks exec_sum = 0;    // exec estimates of the pending requests
     Ticks switch_sum = 0;  // switch estimates between consecutive groups
+    // By model: queued groups that still accept joins. Lets an arrival skip
+    // instances with nothing to join instead of scanning their groups.
+    std::vector<int> open_groups;
   };
 
   Ticks ExecTicks(const Request& request) const;
   Ticks SwitchTicks(ModelId from, ModelId to) const;
-  // Retires exhausted front groups, keeping switch_sum in step.
+  // Retires exhausted front groups, keeping switch_sum and open_groups in
+  // step.
   void PopExhausted(InstanceQueue& queue) const;
 
   int max_group_size_;

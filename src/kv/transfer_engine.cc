@@ -94,12 +94,11 @@ bool TransferEngine::Extend(KvHandle& handle, UnifiedKvCache& gpu_cache, int64_t
   int64_t have_blocks = static_cast<int64_t>(handle.blocks.size());
   int64_t need_blocks = gpu_cache.BlocksForTokens(handle.tokens + extra_tokens);
   if (need_blocks > have_blocks) {
-    std::vector<BlockRef> extra = gpu_cache.AllocTokens(
-        handle.gpu_shape, (need_blocks - have_blocks) * gpu_cache.tokens_per_block());
-    if (extra.empty()) {
+    if (!gpu_cache.AllocTokensInto(handle.gpu_shape,
+                                   (need_blocks - have_blocks) * gpu_cache.tokens_per_block(),
+                                   handle.blocks)) {
       return false;
     }
-    handle.blocks.insert(handle.blocks.end(), extra.begin(), extra.end());
   }
   handle.tokens += extra_tokens;
   return true;

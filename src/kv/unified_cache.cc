@@ -47,6 +47,12 @@ std::vector<BlockRef> UnifiedKvCache::AllocTokens(ShapeClassId shape, int64_t to
   return slabs_.Alloc(shape, static_cast<size_t>(blocks));
 }
 
+bool UnifiedKvCache::AllocTokensInto(ShapeClassId shape, int64_t tokens,
+                                     std::vector<BlockRef>& out) {
+  assert(tokens > 0);
+  return slabs_.AllocInto(shape, static_cast<size_t>(BlocksForTokens(tokens)), out);
+}
+
 void UnifiedKvCache::Free(const std::vector<BlockRef>& blocks) { slabs_.Free(blocks); }
 
 void UnifiedKvCache::DeferFree(std::vector<BlockRef> blocks, EventSim transfer) {

@@ -41,6 +41,9 @@ class UnifiedKvCache {
   // Allocates blocks for `tokens` tokens of `shape`; empty on failure
   // (all-or-nothing).
   std::vector<BlockRef> AllocTokens(ShapeClassId shape, int64_t tokens);
+  // As AllocTokens for `tokens` > 0, but appends the blocks to `out`;
+  // returns false and leaves `out` unchanged on failure.
+  bool AllocTokensInto(ShapeClassId shape, int64_t tokens, std::vector<BlockRef>& out);
 
   // Immediately frees blocks not involved in any transfer.
   void Free(const std::vector<BlockRef>& blocks);

@@ -47,12 +47,10 @@ int32_t SlabAllocator::AcquireSlab(ShapeClassId shape) {
   slab.shape = shape;
   slab.block_capacity = static_cast<uint32_t>(slab_bytes_ / state.block_bytes);
   slab.used_count = 0;
+  slab.fresh = 0;
   slab.free_indices.clear();
-  slab.free_indices.reserve(slab.block_capacity);
-  for (uint32_t i = slab.block_capacity; i-- > 0;) {
-    slab.free_indices.push_back(i);
-  }
   state.held_slabs++;
+  total_held_slabs_++;
   state.partial_slabs.push_back(slab_id);
   return static_cast<int32_t>(slab_id);
 }
@@ -64,24 +62,31 @@ uint64_t SlabAllocator::FreeBlocks(ShapeClassId shape) const {
 }
 
 std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
+  std::vector<BlockRef> blocks;
+  blocks.reserve(count);
+  AllocInto(shape, count, blocks);
+  return blocks;
+}
+
+bool SlabAllocator::AllocInto(ShapeClassId shape, size_t count, std::vector<BlockRef>& out) {
   assert(shape < shape_states_.size() && shape_states_[shape].block_bytes != 0 &&
          "shape must be registered before Alloc");
   ShapeState& state = shape_states_[shape];
   if (count > FreeBlocks(shape)) {
     FailAlloc(state, shape);
-    return {};
+    return false;
   }
 
-  std::vector<BlockRef> blocks;
-  blocks.reserve(count);
-  while (blocks.size() < count) {
+  const size_t first = out.size();
+  const size_t end = first + count;
+  while (out.size() < end) {
     // Find a slab of this shape with free blocks, pruning stale entries
     // (slabs that were reclaimed or filled up since being listed).
     int32_t slab_id = -1;
     while (!state.partial_slabs.empty()) {
       uint32_t candidate = state.partial_slabs.back();
       Slab& slab = slabs_[candidate];
-      if (slab.shape == shape && !slab.free_indices.empty()) {
+      if (slab.shape == shape && slab.has_free()) {
         slab_id = static_cast<int32_t>(candidate);
         break;
       }
@@ -92,22 +97,28 @@ std::vector<BlockRef> SlabAllocator::Alloc(ShapeClassId shape, size_t count) {
     }
     assert(slab_id >= 0 && "FreeBlocks admitted a request that does not fit");
     Slab& slab = slabs_[slab_id];
-    while (blocks.size() < count && !slab.free_indices.empty()) {
-      uint32_t index = slab.free_indices.back();
-      slab.free_indices.pop_back();
+    while (out.size() < end && slab.has_free()) {
+      uint32_t index = slab.fresh;
+      if (!slab.free_indices.empty()) {
+        index = slab.free_indices.back();
+        slab.free_indices.pop_back();
+      } else {
+        slab.fresh++;
+      }
       slab.used_count++;
-      blocks.push_back(BlockRef{static_cast<uint32_t>(slab_id), index});
+      out.push_back(BlockRef{static_cast<uint32_t>(slab_id), index});
     }
-    if (slab.free_indices.empty() && !state.partial_slabs.empty() &&
+    if (!slab.has_free() && !state.partial_slabs.empty() &&
         state.partial_slabs.back() == static_cast<uint32_t>(slab_id)) {
       state.partial_slabs.pop_back();
     }
   }
   state.used_blocks += count;
+  total_used_bytes_ += count * state.block_bytes;
   MaybeUpdatePeaks(state);
   UpdateGlobalPeak();
-  simsan::NoteAlloc(this, blocks.data(), blocks.size());
-  return blocks;
+  simsan::NoteAlloc(this, out.data() + first, count);
+  return true;
 }
 
 void SlabAllocator::FailAlloc(ShapeState& state, ShapeClassId shape) {
@@ -118,7 +129,7 @@ void SlabAllocator::FailAlloc(ShapeState& state, ShapeClassId shape) {
   std::vector<uint32_t> visited;
   for (auto it = state.partial_slabs.rbegin(); it != state.partial_slabs.rend(); ++it) {
     Slab& slab = slabs_[*it];
-    if (slab.shape == shape && !slab.free_indices.empty() && !slab.visited) {
+    if (slab.shape == shape && slab.has_free() && !slab.visited) {
       slab.visited = true;
       visited.push_back(*it);
     }
@@ -135,16 +146,22 @@ void SlabAllocator::FreeOne(BlockRef block) {
   assert(slab.shape != Slab::kUnassigned && "freeing into an unassigned slab");
   assert(slab.used_count > 0);
   ShapeState& state = shape_states_[slab.shape];
-  slab.free_indices.push_back(block.index);
   slab.used_count--;
   state.used_blocks--;
+  total_used_bytes_ -= state.block_bytes;
   if (slab.used_count == 0) {
     // Reclaim: the slab returns to the free pool and can serve any shape.
     state.held_slabs--;
+    total_held_slabs_--;
     slab.shape = Slab::kUnassigned;
     slab.free_indices.clear();
     free_slabs_.push_back(block.slab);
-  } else {
+    return;
+  }
+  slab.free_indices.push_back(block.index);
+  // A copy next to itself cannot change which slab a back-to-front scan
+  // picks, so skip it: freeing a run of one slab's blocks lists it once.
+  if (state.partial_slabs.empty() || state.partial_slabs.back() != block.slab) {
     state.partial_slabs.push_back(block.slab);
   }
 }
@@ -170,22 +187,6 @@ uint64_t SlabAllocator::held_bytes(ShapeClassId shape) const {
   return shape_states_[shape].held_slabs * slab_bytes_;
 }
 
-uint64_t SlabAllocator::total_used_bytes() const {
-  uint64_t total = 0;
-  for (const ShapeState& state : shape_states_) {
-    total += state.used_blocks * state.block_bytes;
-  }
-  return total;
-}
-
-uint64_t SlabAllocator::total_held_bytes() const {
-  uint64_t total = 0;
-  for (const ShapeState& state : shape_states_) {
-    total += state.held_slabs * slab_bytes_;
-  }
-  return total;
-}
-
 void SlabAllocator::MaybeUpdatePeaks(ShapeState& state) {
   uint64_t held = state.held_slabs * slab_bytes_;
   if (held >= state.peak_held_bytes) {
@@ -198,7 +199,7 @@ void SlabAllocator::UpdateGlobalPeak() {
   uint64_t held = total_held_bytes();
   if (held >= global_peak_held_) {
     global_peak_held_ = held;
-    global_used_at_peak_ = total_used_bytes();
+    global_used_at_peak_ = total_used_bytes_;
   }
 }
 

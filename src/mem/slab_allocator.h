@@ -47,6 +47,9 @@ class SlabAllocator {
   // vector if the request cannot be satisfied in full (all-or-nothing).
   // Fails in O(live slabs of `shape`) when `count > FreeBlocks(shape)`.
   std::vector<BlockRef> Alloc(ShapeClassId shape, size_t count);
+  // As Alloc, but appends the blocks to `out`; on failure returns false and
+  // leaves `out` unchanged.
+  bool AllocInto(ShapeClassId shape, size_t count, std::vector<BlockRef>& out);
 
   // Exact number of `shape` blocks an Alloc could hand out right now: the
   // free blocks of the shape's slabs plus a free slab's worth per free slab.
@@ -66,8 +69,8 @@ class SlabAllocator {
   // Bytes of slabs currently assigned to `shape` (>= used_bytes).
   uint64_t held_bytes(ShapeClassId shape) const;
 
-  uint64_t total_used_bytes() const;
-  uint64_t total_held_bytes() const;
+  uint64_t total_used_bytes() const { return total_used_bytes_; }
+  uint64_t total_held_bytes() const { return total_held_slabs_ * slab_bytes_; }
 
   struct ShapeStats {
     uint64_t block_bytes = 0;
@@ -93,9 +96,15 @@ class SlabAllocator {
   struct Slab {
     static constexpr ShapeClassId kUnassigned = static_cast<ShapeClassId>(-1);
     ShapeClassId shape = kUnassigned;
+    // Freed block indices, reused last freed first before any fresh one.
     std::vector<uint32_t> free_indices;
+    // Blocks [fresh, block_capacity) have never been handed out since the
+    // slab was acquired; they go out in ascending order.
+    uint32_t fresh = 0;
     uint32_t used_count = 0;
     uint32_t block_capacity = 0;
+
+    bool has_free() const { return used_count < block_capacity; }
     bool visited = false;  // scratch mark for FailAlloc's dedup
   };
 
@@ -123,6 +132,9 @@ class SlabAllocator {
   // Keeps iteration order deterministic (the determinism lint forbids
   // unordered containers on scheduling/accounting paths).
   std::vector<ShapeState> shape_states_;
+  // Running totals over all shapes, so the global peak is O(1) per Alloc.
+  uint64_t total_held_slabs_ = 0;
+  uint64_t total_used_bytes_ = 0;
   uint64_t global_peak_held_ = 0;
   uint64_t global_used_at_peak_ = 0;
 };

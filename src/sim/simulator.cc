@@ -46,6 +46,7 @@ uint64_t Simulator::Run() {
   }
   perf_.events_processed += processed;
   perf_.wall_seconds += Elapsed(start);
+  perf_.heap_peak = queue_.heap_peak();
   return processed;
 }
 
@@ -61,6 +62,7 @@ uint64_t Simulator::RunUntil(TimePoint horizon) {
   now_ = std::max(now_, horizon);
   perf_.events_processed += processed;
   perf_.wall_seconds += Elapsed(start);
+  perf_.heap_peak = queue_.heap_peak();
   return processed;
 }
 

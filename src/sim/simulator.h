@@ -7,6 +7,7 @@
 #ifndef AEGAEON_SIM_SIMULATOR_H_
 #define AEGAEON_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/event_queue.h"
@@ -20,6 +21,9 @@ namespace aegaeon {
 struct SimPerfCounters {
   uint64_t events_processed = 0;
   double wall_seconds = 0.0;
+  // Largest number of entries the event heap held (EventQueue::heap_peak).
+  // Deterministic; pooled runs report the largest of their queues.
+  uint64_t heap_peak = 0;
   // --- Conservative-sync epoch loop (sharded execution only; zero for
   // plain runs). ---
   // Lookahead grid slots the epoch loop jumped without a barrier (dead
@@ -39,6 +43,7 @@ struct SimPerfCounters {
   SimPerfCounters& operator+=(const SimPerfCounters& other) {
     events_processed += other.events_processed;
     wall_seconds += other.wall_seconds;
+    heap_peak = std::max(heap_peak, other.heap_peak);
     epochs_skipped += other.epochs_skipped;
     idle_shard_skips += other.idle_shard_skips;
     barrier_wait_seconds += other.barrier_wait_seconds;

@@ -176,6 +176,34 @@ TEST(SlabAllocatorTest, FragmentationStatsTrackPeak) {
   EXPECT_EQ(slabs.shape_stats(0).peak_held_bytes, 200u);
 }
 
+TEST(SlabAllocatorTest, BlocksComeOutInIndexOrderAndReuseLastFreedFirst) {
+  // 4 blocks per slab. Fresh blocks go out 0, 1, 2, ...; freed blocks are
+  // reused before fresh ones, last freed first; a drained slab is reclaimed
+  // and a new acquire starts again at block 0 of the lowest free slab.
+  SlabAllocator slabs(4 * 400, 400);
+  ASSERT_TRUE(slabs.RegisterShape(0, 100));
+  auto ref = [](uint32_t slab, uint32_t index) { return BlockRef{slab, index}; };
+  std::vector<BlockRef> a = slabs.Alloc(0, 3);
+  EXPECT_EQ(a, (std::vector<BlockRef>{ref(0, 0), ref(0, 1), ref(0, 2)}));
+  slabs.FreeOne(ref(0, 0));
+  slabs.FreeOne(ref(0, 2));
+  std::vector<BlockRef> b = slabs.Alloc(0, 4);
+  EXPECT_EQ(b, (std::vector<BlockRef>{ref(0, 2), ref(0, 0), ref(0, 3), ref(1, 0)}));
+  std::vector<BlockRef> c;
+  c.push_back(ref(9, 9));  // AllocInto appends after existing entries
+  ASSERT_TRUE(slabs.AllocInto(0, 2, c));
+  EXPECT_EQ(c, (std::vector<BlockRef>{ref(9, 9), ref(1, 1), ref(1, 2)}));
+  EXPECT_FALSE(slabs.AllocInto(0, 100, c));
+  EXPECT_EQ(c.size(), 3u);
+  // Drain slab 0 entirely: it is reclaimed, then refilled from block 0.
+  slabs.Free({ref(0, 0), ref(0, 1), ref(0, 2), ref(0, 3)});
+  EXPECT_EQ(slabs.held_bytes(0), 400u);
+  slabs.Free({ref(1, 0), ref(1, 1), ref(1, 2)});
+  EXPECT_EQ(slabs.free_slabs(), slabs.total_slabs());
+  std::vector<BlockRef> d = slabs.Alloc(0, 5);
+  EXPECT_EQ(d, (std::vector<BlockRef>{ref(1, 0), ref(1, 1), ref(1, 2), ref(1, 3), ref(0, 0)}));
+}
+
 // Property test: random alloc/free cycles across several shapes preserve
 // the allocator's core invariants.
 class SlabPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -216,6 +244,18 @@ TEST_P(SlabPropertyTest, InvariantsHoldUnderRandomWorkload) {
     // used <= held, and held never exceeds the arena.
     ASSERT_LE(slabs.total_used_bytes(), slabs.total_held_bytes());
     ASSERT_LE(slabs.total_held_bytes(), 64u * 1024);
+    // The running totals equal a recomputation over all shapes.
+    uint64_t used = 0;
+    uint64_t held = 0;
+    for (ShapeClassId shape : slabs.shapes()) {
+      used += slabs.used_bytes(shape);
+      held += slabs.held_bytes(shape);
+    }
+    SlabAllocator::ShapeStats overall = slabs.overall_stats();
+    ASSERT_EQ(overall.used_bytes, used);
+    ASSERT_EQ(overall.held_bytes, held);
+    ASSERT_LE(overall.used_at_peak, overall.peak_held_bytes);
+    ASSERT_GE(overall.peak_held_bytes, held);
   }
   for (auto& [shape, blocks] : live) {
     slabs.Free(blocks);

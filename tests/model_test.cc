@@ -6,11 +6,13 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "hw/gpu_spec.h"
 #include "model/latency_model.h"
 #include "model/model_spec.h"
 #include "model/registry.h"
+#include "sim/random.h"
 
 namespace aegaeon {
 namespace {
@@ -186,6 +188,44 @@ TEST(SloSpecTest, DeadlinesAreAnchoredAtArrival) {
   SloSpec slo{10.0, 0.1};
   EXPECT_DOUBLE_EQ(slo.DeadlineFor(5.0, 0), 15.0);
   EXPECT_DOUBLE_EQ(slo.DeadlineFor(5.0, 10), 16.0);
+}
+
+TEST(SloSpecTest, CountMetTokensMatchesPerTokenLoop) {
+  // The O(1) answer must equal the per-token test whenever it is taken.
+  struct Case {
+    SloSpec slo;
+    TimePoint arrival;
+    int64_t first_index;
+    TimePoint start;
+    Duration step;
+    int64_t count;
+  };
+  std::vector<Case> cases = {
+      {{10.0, 0.1}, 0.0, 0, 1.0, 0.03, 50},       // all met
+      {{10.0, 0.1}, 0.0, 0, 20.0, 0.03, 50},      // all missed
+      {{10.0, 0.1}, 0.0, 0, 9.0, 0.2, 30},        // a deadline falls inside the turn
+      {{10.0, 0.1}, 0.0, 5, 10.4, 0.1, 40},       // step == tbt, on the boundary
+      {{10.0, 0.1}, 0.0, 5, 10.4 + 1e-9, 0.1, 40},
+      {{10.0, 0.1}, 99990.0, 3, 100000.3, 0.1, 400},  // near 1e5 s, step == tbt
+      {{10.0, 0.1}, 99990.0, 0, 99995.0, 0.09, 400},
+      {{1.0, 0.02}, 5.0, 7, 6.0, 0.021, 1000},
+  };
+  Rng rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    SloSpec slo{0.5 + 10.0 * rng.NextDouble(), 0.01 + 0.2 * rng.NextDouble()};
+    TimePoint arrival = 1e5 * rng.NextDouble();
+    int64_t first = static_cast<int64_t>(rng.UniformInt(500));
+    TimePoint start = arrival + slo.ttft + static_cast<double>(first) * slo.tbt +
+                      (rng.NextDouble() - 0.5) * 4.0;
+    Duration step = rng.Bernoulli(0.2) ? slo.tbt : slo.tbt * (0.5 + rng.NextDouble());
+    cases.push_back({slo, arrival, first, start, step, 1 + static_cast<int64_t>(rng.UniformInt(300))});
+  }
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.slo.CountMetTokens(c.arrival, c.first_index, c.start, c.step, c.count),
+              c.slo.CountMetTokensSlow(c.arrival, c.first_index, c.start, c.step, c.count))
+        << c.arrival << " " << c.first_index << " " << c.start << " " << c.step << " "
+        << c.count;
+  }
 }
 
 }  // namespace

@@ -188,8 +188,7 @@ TEST(EventQueueTest, MergePreservesFifoAgainstExistingEvents) {
 }
 
 TEST(EventQueueTest, MergeSmallBatchIntoLargeHeapSifts) {
-  // Exercise both Merge strategies: per-event sift (small batch, large
-  // heap) and bulk rebuild (batch rivals the heap).
+  // A merged event lands between events already in the heap.
   EventQueue queue;
   std::vector<double> fired;
   for (int i = 0; i < 100; ++i) {
@@ -208,6 +207,82 @@ TEST(EventQueueTest, MergeSmallBatchIntoLargeHeapSifts) {
   }
   ASSERT_EQ(fired.size(), 101u);
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+TEST(EventQueueTest, SortedRunAndHeapFireInReferenceOrder) {
+  // Sorted and unsorted Merges and Pushes, on a coarse time grid so equal
+  // timestamps are common, interleaved with pops: the fire order must equal
+  // a sort of every event by (when, scheduling order).
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    EventQueue queue;
+    std::vector<std::pair<double, int>> scheduled;  // (when, scheduling order)
+    std::vector<int> fired;
+    double now = 0.0;
+    auto next_time = [&] { return now + static_cast<double>(rng.UniformInt(8)) * 0.5; };
+    auto schedule_tag = [&](double when) {
+      int tag = static_cast<int>(scheduled.size());
+      scheduled.emplace_back(when, tag);
+      return tag;
+    };
+    for (int step = 0; step < 300; ++step) {
+      double action = rng.NextDouble();
+      if (action < 0.3) {
+        double when = next_time();
+        int tag = schedule_tag(when);
+        queue.Push(when, [&fired, tag] { fired.push_back(tag); });
+      } else if (action < 0.55) {
+        std::vector<EventQueue::Pending> batch(1 + rng.UniformInt(12));
+        std::vector<double> times;
+        for (size_t i = 0; i < batch.size(); ++i) {
+          times.push_back(next_time());
+        }
+        if (rng.Bernoulli(0.6)) {
+          std::sort(times.begin(), times.end());
+        }
+        for (size_t i = 0; i < batch.size(); ++i) {
+          int tag = schedule_tag(times[i]);
+          batch[i].when = times[i];
+          batch[i].cb = [&fired, tag] { fired.push_back(tag); };
+        }
+        queue.Merge(batch.data(), batch.size());
+      } else if (!queue.empty()) {
+        double next = queue.NextTime();
+        ASSERT_GE(next, now);
+        now = next;
+        EXPECT_EQ(queue.PopAndRun(), next);
+      }
+    }
+    while (!queue.empty()) {
+      queue.PopAndRun();
+    }
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::vector<int> expected;
+    for (const auto& event : scheduled) {
+      expected.push_back(event.second);
+    }
+    ASSERT_EQ(fired, expected) << "seed " << seed;
+  }
+}
+
+TEST(EventQueueTest, SortedMergeStaysOutOfTheHeap) {
+  // A trace merged in time order never enters the heap, so the heap's peak
+  // counts only the events pushed one at a time.
+  EventQueue queue;
+  std::vector<EventQueue::Pending> batch(1000);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].when = static_cast<double>(i);
+    batch[i].cb = [] {};
+  }
+  queue.Merge(batch.data(), batch.size());
+  queue.Push(0.5, [] {});
+  queue.Push(10.5, [] {});
+  EXPECT_EQ(queue.size(), 1002u);
+  EXPECT_EQ(queue.heap_peak(), 2u);
+  while (!queue.empty()) {
+    queue.PopAndRun();
+  }
 }
 
 TEST(SimulatorTest, ScheduleBatchClampsPastTimestamps) {

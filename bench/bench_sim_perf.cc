@@ -11,8 +11,9 @@
 //      of what it replicates. The improvement percentage is the EventQueue
 //      rework's payoff.
 //   2. Sweep throughput: wall-clock for an 8-point x 4-system end-to-end
-//      sweep run serially vs. through ParallelSweep, asserting bit-identical
-//      SLO attainment per (point, system) pair.
+//      sweep run serially vs. through ParallelSweep, each the minimum of 3
+//      alternating repetitions, asserting bit-identical SLO attainment per
+//      (point, system) pair on every repetition.
 //
 // Usage: bench_sim_perf [output.json]   (default BENCH_sim_perf.json)
 
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <functional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "e2e_common.h"
@@ -162,6 +164,19 @@ std::vector<SweepCase> BuildSweepCases() {
   return cases;
 }
 
+bool SameResults(const std::vector<E2eResult>& a, const std::vector<E2eResult>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].aegaeon != b[i].aegaeon || a[i].serverless != b[i].serverless ||
+        a[i].serverless_plus != b[i].serverless_plus || a[i].muxserve != b[i].muxserve) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,24 +208,33 @@ int main(int argc, char** argv) {
   std::printf("  improvement: %+.1f%%\n\n", improvement);
 
   // 2. Sweep speedup: serial loop vs ParallelSweep on the same task list.
+  // Each leg's time is the minimum of kSweepReps alternating repetitions
+  // (serial, parallel, serial, ...), so a burst of machine load has to hit
+  // every repetition of one leg to move the ratio. Every repetition of
+  // either leg must reproduce the first serial results bit for bit.
+  constexpr int kSweepReps = 3;
   std::vector<SweepCase> cases = BuildSweepCases();
-  auto serial_start = std::chrono::steady_clock::now();
-  std::vector<E2eResult> serial = RunAllSystemsSweep(cases, /*threads=*/1);
-  double serial_seconds = Seconds(serial_start);
-
-  auto parallel_start = std::chrono::steady_clock::now();
-  std::vector<E2eResult> parallel = RunAllSystemsSweep(cases, threads);
-  double parallel_seconds = Seconds(parallel_start);
-
-  bool identical = serial.size() == parallel.size();
-  for (size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = serial[i].aegaeon == parallel[i].aegaeon &&
-                serial[i].serverless == parallel[i].serverless &&
-                serial[i].serverless_plus == parallel[i].serverless_plus &&
-                serial[i].muxserve == parallel[i].muxserve;
+  std::vector<E2eResult> reference;
+  bool identical = true;
+  double serial_seconds = 0.0;
+  double parallel_seconds = 0.0;
+  for (int rep = 0; rep < kSweepReps; ++rep) {
+    for (bool parallel : {false, true}) {
+      auto start = std::chrono::steady_clock::now();
+      std::vector<E2eResult> results = RunAllSystemsSweep(cases, parallel ? threads : 1);
+      double seconds = Seconds(start);
+      double& best = parallel ? parallel_seconds : serial_seconds;
+      best = rep == 0 ? seconds : std::min(best, seconds);
+      if (reference.empty()) {
+        reference = std::move(results);
+      } else {
+        identical = identical && SameResults(reference, results);
+      }
+    }
   }
   double speedup = parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
-  std::printf("e2e sweep (%zu points x 4 systems):\n", cases.size());
+  std::printf("e2e sweep (%zu points x 4 systems, min of %d alternating reps):\n",
+              cases.size(), kSweepReps);
   std::printf("  serial:   %8.2fs\n", serial_seconds);
   std::printf("  parallel: %8.2fs  (%d threads)\n", parallel_seconds, threads);
   std::printf("  speedup: %.2fx, results %s\n\n", speedup,

@@ -64,17 +64,6 @@ inline RunMetrics RunMux(const ModelRegistry& registry, const std::vector<Arriva
   return cluster.Run(trace);
 }
 
-// Runs all four systems on the same trace, returning SLO attainments.
-inline E2eResult RunAllSystems(const ModelRegistry& registry,
-                               const std::vector<ArrivalEvent>& trace) {
-  E2eResult result;
-  result.aegaeon = RunAegaeon(registry, trace).SloAttainment();
-  result.serverless = RunServerless(registry, trace, /*sjf=*/false).SloAttainment();
-  result.serverless_plus = RunServerless(registry, trace, /*sjf=*/true).SloAttainment();
-  result.muxserve = RunMux(registry, trace).SloAttainment();
-  return result;
-}
-
 // --- Parallel sweeps ----------------------------------------------------
 //
 // Sweeps fan (point x system) runs across ParallelSweep. Per the
@@ -95,8 +84,8 @@ struct SweepCase {
   std::function<std::vector<ArrivalEvent>(const ModelRegistry&)> trace;
 };
 
-// Runs all four systems for every case — 4N independent tasks — and
-// returns per-case results in input order.
+// Runs all four systems on every case's trace — 4N independent tasks — and
+// returns per-case SLO attainments in input order.
 inline std::vector<E2eResult> RunAllSystemsSweep(const std::vector<SweepCase>& cases,
                                                  int threads = 0) {
   enum SystemKind { kAegaeon, kServerless, kServerlessPlus, kMuxServe, kSystems };

@@ -887,7 +887,7 @@ void AegaeonCluster::StartRound(DecodeUnit& unit) {
         it = unit.parked.erase(it);
         continue;
       }
-      bool has_room = unit.kv_cache->FreeTokensEstimate(r->kv.gpu_shape) >=
+      bool has_room = unit.kv_cache->FreeTokens(r->kv.gpu_shape) >=
                       2 * r->kv.tokens + 2 * config_.tokens_per_block;
       if (has_room && TrySwapIn(unit, r)) {
         r->phase = RequestPhase::kQueuedDecode;

@@ -81,10 +81,9 @@ struct FleetConfig {
   // Parallel execution width. NOT part of the simulated configuration:
   // results are bit-identical for any value. Clamped to [1, cells].
   int shards = 1;
-  // Worker threads for the shard pool; <= 0 selects min(shards, the
+  // Worker threads for the shard gang; <= 0 selects min(shards, the
   // ParallelSweep default: AEGAEON_SWEEP_THREADS, else hardware
-  // concurrency). Fleets nested inside an outer ParallelSweep should size
-  // the outer pool with ParallelSweep::ThreadsForNested(shards).
+  // concurrency).
   int threads = 0;
   // Latency of the fleet router -> cell hop; the conservative lookahead.
   // Must be > 0 when cells > 1 (the constructor aborts otherwise).

@@ -1,7 +1,8 @@
 // Clang Thread Safety Analysis shim: the annotation macros (GUARDED_BY,
 // REQUIRES, EXCLUDES, ...) plus small annotated wrappers over std::mutex /
-// std::condition_variable_any, so the locking discipline of the threaded
-// executors (sim/thread_pool.*, sim/parallel_sweep.h, core/fleet.*) is
+// std::condition_variable_any, so the locking discipline of the host's one
+// executor (ShardGang in sim/thread_pool.*, which runs both ParallelSweep and
+// the sharded fleet) and of the fleet's shared counters (core/fleet.*) is
 // machine-checked. The `thread-safety` CI job compiles with clang and
 // -Werror=thread-safety (-DAEGAEON_THREAD_SAFETY=ON); under GCC the
 // attributes expand to nothing and the wrappers are zero-cost sugar.
@@ -16,9 +17,9 @@
 #ifndef AEGAEON_CORE_THREAD_ANNOTATIONS_H_
 #define AEGAEON_CORE_THREAD_ANNOTATIONS_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <utility>
 
 #if defined(__clang__) && defined(__has_attribute)
 #define AEGAEON_TSA(x) __attribute__((x))
@@ -84,11 +85,6 @@ class CondVar {
   template <typename Predicate>
   void Wait(Mutex& mu, Predicate pred) REQUIRES(mu) {
     cv_.wait(mu, std::move(pred));
-  }
-
-  template <typename Rep, typename Period>
-  void WaitFor(Mutex& mu, const std::chrono::duration<Rep, Period>& timeout) REQUIRES(mu) {
-    cv_.wait_for(mu, timeout);
   }
 
   void NotifyOne() { cv_.notify_one(); }

@@ -88,17 +88,4 @@ int64_t UnifiedKvCache::FreeTokens(ShapeClassId shape) const {
   return static_cast<int64_t>(slabs_.FreeBlocks(shape)) * tokens_per_block_;
 }
 
-int64_t UnifiedKvCache::FreeBlocksEstimate(ShapeClassId shape) const {
-  uint64_t block = block_bytes_.at(shape);
-  uint64_t per_slab = slabs_.slab_bytes() / block;
-  uint64_t held = slabs_.held_bytes(shape);
-  uint64_t used = slabs_.used_bytes(shape);
-  uint64_t partial_free = (held - used) / block;
-  return static_cast<int64_t>(partial_free + slabs_.free_slabs() * per_slab);
-}
-
-int64_t UnifiedKvCache::FreeTokensEstimate(ShapeClassId shape) const {
-  return FreeBlocksEstimate(shape) * tokens_per_block_;
-}
-
 }  // namespace aegaeon

@@ -60,12 +60,6 @@ class UnifiedKvCache {
   // (SlabAllocator::FreeBlocks, in whole blocks).
   int64_t FreeTokens(ShapeClassId shape) const;
 
-  // Optimistic estimate of allocatable blocks for `shape` right now
-  // (free blocks in partial slabs + free slabs' worth). It counts a slab's
-  // tail bytes as blocks when the slab is not a multiple of the block size.
-  int64_t FreeBlocksEstimate(ShapeClassId shape) const;
-  int64_t FreeTokensEstimate(ShapeClassId shape) const;
-
   const SlabAllocator& slabs() const { return slabs_; }
   const std::string& name() const { return name_; }
   int tokens_per_block() const { return tokens_per_block_; }

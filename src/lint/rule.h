@@ -19,8 +19,9 @@ namespace aegaeon {
 namespace lint {
 
 // One lexed file. `path` is as given to the analyzer (repo-relative in the
-// CLI); rules that scope by location (e.g. thread-sleep's thread_pool
-// exemption) match on path suffixes so "src/x.h" and "./src/x.h" agree.
+// CLI); rules that depend on location (e.g. the include-graph passes, which
+// key files by include spelling) normalize it, so "src/x.h" and "./src/x.h"
+// agree.
 struct SourceFile {
   std::string path;
   LexResult lex;

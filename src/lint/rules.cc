@@ -262,15 +262,11 @@ class ThreadSleepRule : public Rule {
  public:
   std::string_view id() const override { return "thread-sleep"; }
   std::string_view description() const override {
-    return "std::this_thread::sleep_* (or usleep/nanosleep) outside src/sim/thread_pool.* — "
-           "sleeping hides ordering bugs and stalls the conservative-sync barrier; workers "
-           "park on the pool's condition variable instead.";
+    return "std::this_thread::sleep_* (or usleep/nanosleep) anywhere — sleeping hides "
+           "ordering bugs and stalls the conservative-sync barrier; workers park on a "
+           "condition variable instead.";
   }
   void CheckFile(const SourceFile& file, std::vector<Finding>* out) const override {
-    // The pool's worker-park path is the one sanctioned waiter.
-    if (file.path.find("sim/thread_pool.") != std::string::npos) {
-      return;
-    }
     const std::vector<Token>& t = file.lex.tokens;
     for (size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != TokenKind::kIdentifier) {
@@ -278,13 +274,13 @@ class ThreadSleepRule : public Rule {
       }
       if (t[i].text == "sleep_for" || t[i].text == "sleep_until") {
         Add(out, *this, file, t[i],
-            t[i].text + ": sleeping outside the thread pool stalls the sync barrier; park on "
-                        "a condition variable or use simulated time");
+            t[i].text + ": sleeping stalls the sync barrier; park on a condition variable "
+                        "or use simulated time");
       } else if ((t[i].text == "usleep" || t[i].text == "nanosleep" || t[i].text == "sleep") &&
                  IsBareCall(t, i)) {
         Add(out, *this, file, t[i],
-            t[i].text + "(): sleeping outside the thread pool stalls the sync barrier; park "
-                        "on a condition variable or use simulated time");
+            t[i].text + "(): sleeping stalls the sync barrier; park on a condition variable "
+                        "or use simulated time");
       }
     }
   }

@@ -39,6 +39,11 @@ void EventQueue::Merge(Pending* events, size_t count) {
   if (consumed * 2 >= run_.size()) {
     run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(consumed));
   }
+  // Grow once, to an exact fit for a trace injected up front, but never by
+  // less than doubling, so per-epoch fleet merges stay amortized O(1).
+  if (run_.size() + count > run_.capacity()) {
+    run_.reserve(std::max(run_.size() + count, 2 * run_.capacity()));
+  }
   for (size_t i = 0; i < count; ++i) {
     Pending& event = events[i];
     Entry entry{event.when, next_seq_++, AcquireSlot(std::move(event.cb))};

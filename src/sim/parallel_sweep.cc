@@ -1,8 +1,8 @@
 #include "sim/parallel_sweep.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "sim/parse_number.h"
@@ -30,18 +30,9 @@ int ParallelSweep::DefaultThreads() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-int ParallelSweep::ThreadsForNested(int intra) {
-  return std::max(1, DefaultThreads() / std::max(1, intra));
-}
-
+// One slice per worker; the gang runs min(threads, slices) of them.
 ParallelSweep::ParallelSweep(int threads)
-    : pool_(threads > 0 ? threads : DefaultThreads()) {}
-
-void ParallelSweep::Run(std::vector<std::function<void()>> tasks) {
-  for (auto& task : tasks) {
-    pool_.Submit(std::move(task));
-  }
-  pool_.Wait();
-}
+    : gang_(/*slices=*/threads > 0 ? threads : DefaultThreads(),
+            /*threads=*/std::numeric_limits<int>::max()) {}
 
 }  // namespace aegaeon

@@ -1,5 +1,10 @@
-// ParallelSweep: fans independent simulation runs across a work-stealing
-// thread pool and collects results in deterministic input order.
+// ParallelSweep: fans independent simulation runs across the host's one
+// executor (ShardGang, sim/thread_pool.h) and collects results in
+// deterministic input order.
+//
+// A Map is one gang round: the calling thread is worker 0, and every worker
+// takes task indices from a shared atomic cursor until the list runs out, so
+// a slow task never leaves a worker idle behind a fixed split.
 //
 // Determinism contract: every task must construct the entirety of its
 // simulation state (registry, trace, cluster) from explicit seeds inside the
@@ -17,9 +22,9 @@
 #define AEGAEON_SIM_PARALLEL_SWEEP_H_
 
 #include <atomic>
+#include <cstddef>
 #include <exception>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "core/thread_annotations.h"
@@ -32,54 +37,46 @@ class ParallelSweep {
   // `threads` <= 0 selects DefaultThreads().
   explicit ParallelSweep(int threads = 0);
 
-  int thread_count() const { return pool_.size(); }
+  // Total workers including the thread that calls Map.
+  int thread_count() const { return gang_.thread_count(); }
 
   // AEGAEON_SWEEP_THREADS override, else hardware_concurrency(), min 1.
   // Aborts with an error when the override is not an integer in [1, 1024].
   static int DefaultThreads();
 
-  // Worker budget per sweep task when each task is itself `intra`-way
-  // parallel (a sharded fleet run inside a sweep): the default budget
-  // divided by the intra-run width, min 1. Keeps total thread count at the
-  // core budget instead of multiplying the two levels of parallelism.
-  static int ThreadsForNested(int intra);
-
-  // Runs every task across the pool; blocks until all complete and returns
-  // their results in input order. T must be default-constructible and
-  // movable. If a task throws, the first exception is rethrown here after
-  // all tasks have drained.
+  // Runs every task across the workers; blocks until all complete and
+  // returns their results in input order. T must be default-constructible
+  // and movable. If a task throws, the remaining tasks still run and the
+  // first exception caught is rethrown here afterwards. Not reentrant: one
+  // Map at a time per ParallelSweep.
   template <typename T>
   std::vector<T> Map(std::vector<std::function<T()>> tasks) {
     std::vector<T> results(tasks.size());
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    // Annotated (core/thread_annotations.h) like every pool-shared mutex;
-    // first_error is only written under it and only read after Wait().
+    std::atomic<size_t> cursor{0};
+    // Set under error_mu during the round; read after it, when the gang's
+    // completion handshake has ordered every worker's writes.
     Mutex error_mu;
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      pool_.Submit([&, i] {
+    std::exception_ptr first_error;
+    gang_.Run([&](int /*slice*/) {
+      for (size_t i = cursor++; i < tasks.size(); i = cursor++) {
         try {
           results[i] = tasks[i]();
         } catch (...) {
           MutexLock lock(error_mu);
-          if (!failed.exchange(true)) {
+          if (!first_error) {
             first_error = std::current_exception();
           }
         }
-      });
-    }
-    pool_.Wait();
-    if (failed.load()) {
+      }
+    });
+    if (first_error) {
       std::rethrow_exception(first_error);
     }
     return results;
   }
 
-  // Convenience for side-effect-free fan-out without results.
-  void Run(std::vector<std::function<void()>> tasks);
-
  private:
-  ThreadPool pool_;
+  ShardGang gang_;
 };
 
 }  // namespace aegaeon

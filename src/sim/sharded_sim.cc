@@ -10,9 +10,7 @@ namespace aegaeon {
 ShardedSim::ShardedSim(int shards, int threads)
     : shards_(std::max(shards, 1)),
       // Default gang width: never more workers than shards (the extras would
-      // only idle at every barrier), never more than the sweep-wide default
-      // (so a fleet nested inside an outer ParallelSweep — sized with
-      // ThreadsForNested — does not oversubscribe the machine).
+      // only idle at every barrier), never more than the sweep-wide default.
       gang_(shards_, threads > 0 ? threads : std::min(shards_, ParallelSweep::DefaultThreads())),
       shard_perf_(static_cast<size_t>(shards_)),
       active_(static_cast<size_t>(shards_), 1),

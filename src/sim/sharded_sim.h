@@ -60,10 +60,6 @@ class ShardedSim {
   };
 
   // `threads` <= 0 selects min(shards, ParallelSweep::DefaultThreads()).
-  // Callers running fleets inside an outer ParallelSweep should size the
-  // outer pool with ParallelSweep::ThreadsForNested(shards) and pass
-  // `shards` here, splitting cores between inter-run and intra-run
-  // parallelism instead of oversubscribing.
   explicit ShardedSim(int shards, int threads = 0);
 
   ShardedSim(const ShardedSim&) = delete;

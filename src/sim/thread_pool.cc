@@ -2,75 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 namespace aegaeon {
-
-ThreadPool::ThreadPool(int threads) {
-  int n = std::max(threads, 1);
-  workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(static_cast<size_t>(i)); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  Wait();
-  {
-    MutexLock lock(wake_mu_);
-    stop_ = true;
-  }
-  wake_cv_.NotifyAll();
-  for (std::thread& t : threads_) {
-    t.join();
-  }
-}
-
-void ThreadPool::Submit(Task task) {
-  size_t target = next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  inflight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    Worker& w = *workers_[target];
-    MutexLock lock(w.mu);
-    w.tasks.push_back(std::move(task));
-  }
-  wake_cv_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(wake_mu_);
-  idle_cv_.Wait(wake_mu_,
-                [this] { return inflight_.load(std::memory_order_acquire) == 0; });
-}
-
-bool ThreadPool::TryPopOwn(size_t self, Task& task) {
-  Worker& w = *workers_[self];
-  MutexLock lock(w.mu);
-  if (w.tasks.empty()) {
-    return false;
-  }
-  task = std::move(w.tasks.front());
-  w.tasks.pop_front();
-  return true;
-}
-
-bool ThreadPool::TrySteal(size_t self, Task& task) {
-  size_t n = workers_.size();
-  for (size_t i = 1; i < n; ++i) {
-    Worker& victim = *workers_[(self + i) % n];
-    MutexLock lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      task = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
 
 ShardGang::ShardGang(int slices, int threads)
     : slices_(std::max(slices, 1)),
@@ -163,29 +96,6 @@ void ShardGang::WorkerLoop(int worker) {
         done_cv_.NotifyOne();  // exactly one waiter: the coordinator
       }
     }
-  }
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  for (;;) {
-    Task task;
-    if (TryPopOwn(self, task) || TrySteal(self, task)) {
-      task();
-      if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        // Last task out: wake Wait()ers. Take the lock so the notification
-        // cannot race between a waiter's predicate check and its sleep.
-        MutexLock lock(wake_mu_);
-        idle_cv_.NotifyAll();
-      }
-      continue;
-    }
-    MutexLock lock(wake_mu_);
-    if (stop_) {
-      return;
-    }
-    // Re-check the queues under the wake lock: a Submit may have landed
-    // between the failed pop attempts and here.
-    wake_cv_.WaitFor(wake_mu_, std::chrono::milliseconds(1));
   }
 }
 

@@ -1,30 +1,21 @@
-// Two executors for host-side parallelism, both with machine-checked
-// locking (Clang Thread Safety annotations from core/thread_annotations.h;
-// the `thread-safety` CI job compiles with -Werror=thread-safety).
+// ShardGang: the one host executor, with machine-checked locking (Clang
+// Thread Safety annotations from core/thread_annotations.h; the
+// `thread-safety` CI job compiles with -Werror=thread-safety).
 //
-// ThreadPool — a small work-stealing pool for fanning independent
-// simulation runs across cores. Each worker owns a deque: tasks are
-// distributed round-robin at submission, a worker pops from the front of
-// its own deque, and an idle worker steals from the back of a victim's
-// deque. There is no global queue to contend on; the pool is oblivious to
-// what the tasks compute.
-//
-// ShardGang — persistent workers for the sharded simulator's epoch loop,
-// where the same slice function runs over the same slices thousands of
-// times. Submitting one closure per shard per epoch through a pool costs an
-// allocation, two deque passes, and a wakeup per task (~230k submissions
-// for a 128-shard run); the gang instead parks its workers at a
-// sense-reversing barrier (a monotone round counter whose advance is the
-// flipped sense) and reuses them every round, and the coordinating caller
-// participates as worker 0 instead of sleeping.
+// Persistent workers for the sharded simulator's epoch loop, where the same
+// slice function runs over the same slices thousands of times. Instead of
+// submitting one closure per shard per epoch (an allocation, a queue pass
+// and a wakeup per task, ~230k submissions for a 128-shard run), the gang
+// parks its workers at a sense-reversing barrier (a monotone round counter
+// whose advance is the flipped sense) and reuses them every round, and the
+// coordinating caller participates as worker 0 instead of sleeping.
+// ParallelSweep (sim/parallel_sweep.h) runs each Map as one round of a gang.
 
 #ifndef AEGAEON_SIM_THREAD_POOL_H_
 #define AEGAEON_SIM_THREAD_POOL_H_
 
-#include <atomic>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -32,59 +23,15 @@
 
 namespace aegaeon {
 
-class ThreadPool {
- public:
-  using Task = std::function<void()>;
-
-  // Spawns `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Drains nothing: joins once outstanding tasks finish. Submitting after
-  // destruction begins is a programming error.
-  ~ThreadPool();
-
-  int size() const { return static_cast<int>(threads_.size()); }
-
-  // Enqueues `task` for execution on some worker. Thread-safe.
-  void Submit(Task task);
-
-  // Blocks until every task submitted so far has finished running.
-  void Wait();
-
- private:
-  struct Worker {
-    Mutex mu;
-    std::deque<Task> tasks GUARDED_BY(mu);
-  };
-
-  void WorkerLoop(size_t self);
-  bool TryPopOwn(size_t self, Task& task) EXCLUDES(wake_mu_);
-  bool TrySteal(size_t self, Task& task) EXCLUDES(wake_mu_);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  Mutex wake_mu_;
-  CondVar wake_cv_;
-  CondVar idle_cv_;
-  std::atomic<size_t> next_worker_{0};
-  // Tasks submitted but not yet finished running.
-  std::atomic<size_t> inflight_{0};
-  bool stop_ GUARDED_BY(wake_mu_) = false;
-};
-
 // Persistent workers advancing fixed slices in lockstep rounds.
 //
-// The gang owns `slices` slices of work (the sharded simulator's shards)
-// executed by W = min(threads, slices) workers; slice s always runs on
+// The gang owns `slices` slices of work (the sharded simulator's shards, or
+// one per ParallelSweep worker) executed by W = min(threads, slices) workers; slice s always runs on
 // worker s % W, so the slice -> thread mapping is deterministic. Worker 0
 // is the *calling* thread of Run(): it releases the round, executes its own
 // slices, then waits for the rest — with W == 1 a round is a plain inline
 // loop with no synchronization or spawned threads at all, which keeps
-// single-shard runs free of any pool handoff.
+// single-shard runs and one-thread sweeps free of any handoff.
 //
 // Rounds use a sense-reversing barrier: workers sleep until the round
 // counter differs from the value they last served (the generalized flipped

@@ -65,15 +65,15 @@ TEST(UnifiedKvCacheTest, DeferredFreeUnavailableUntilEventCompletes) {
   EXPECT_EQ(cache.move_list_size(), 0u);
 }
 
-TEST(UnifiedKvCacheTest, FreeTokensEstimateTracksCapacity) {
+TEST(UnifiedKvCacheTest, FreeTokensTracksCapacity) {
   UnifiedKvCache cache("c", 128 * kMiB, 64 * kMiB, 16);
   ShapeClassId shape = cache.RegisterShape(ModelSpec::InternLm2_7B().kv_shape(), 2);
-  int64_t total = cache.FreeTokensEstimate(shape);
+  int64_t total = cache.FreeTokens(shape);
   EXPECT_GT(total, 0);
   auto blocks = cache.AllocTokens(shape, 160);
-  EXPECT_EQ(cache.FreeTokensEstimate(shape), total - 160);
+  EXPECT_EQ(cache.FreeTokens(shape), total - 160);
   cache.Free(blocks);
-  EXPECT_EQ(cache.FreeTokensEstimate(shape), total);
+  EXPECT_EQ(cache.FreeTokens(shape), total);
 }
 
 TEST(UnifiedKvCacheTest, FreeTokensIsExactWhenSlabsHaveSlack) {
@@ -86,8 +86,6 @@ TEST(UnifiedKvCacheTest, FreeTokensIsExactWhenSlabsHaveSlack) {
   EXPECT_EQ(cache.FreeTokens(id), 4 * 21 * 16);
   auto blocks = cache.AllocTokens(id, 43 * 16);  // three slabs held
   EXPECT_EQ(cache.FreeTokens(id), 41 * 16);
-  // The estimate counts the three slabs' slack as one more block.
-  EXPECT_EQ(cache.FreeTokensEstimate(id), 42 * 16);
   EXPECT_TRUE(cache.AllocTokens(id, 41 * 16 + 1).empty());
   EXPECT_EQ(cache.AllocTokens(id, 41 * 16).size(), 41u);
   EXPECT_EQ(cache.FreeTokens(id), 0);

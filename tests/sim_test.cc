@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +24,6 @@
 #include "sim/parse_number.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
-#include "sim/thread_pool.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
 
@@ -302,16 +302,6 @@ TEST(SimulatorTest, ScheduleBatchClampsPastTimestamps) {
   EXPECT_EQ(seen[1], 5.0);
 }
 
-TEST(ThreadPoolTest, RunsAllTasksAcrossWorkers) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ParallelSweepTest, MapPreservesInputOrder) {
   ParallelSweep sweep(4);
   std::vector<std::function<int()>> tasks;
@@ -347,17 +337,52 @@ TEST(ParallelSweepDeathTest, InvalidThreadCountEnvAborts) {
   ASSERT_EQ(unsetenv("AEGAEON_SWEEP_THREADS"), 0);
 }
 
-TEST(ParallelSweepTest, ThreadsForNestedSplitsTheDefaultBudget) {
-  // An outer sweep whose tasks each run `intra`-wide inner parallelism
-  // (e.g. a sharded fleet) gets the default budget divided by intra,
-  // never dropping below one worker.
-  ASSERT_EQ(setenv("AEGAEON_SWEEP_THREADS", "8", 1), 0);
-  EXPECT_EQ(ParallelSweep::ThreadsForNested(1), 8);
-  EXPECT_EQ(ParallelSweep::ThreadsForNested(4), 2);
-  EXPECT_EQ(ParallelSweep::ThreadsForNested(8), 1);
-  EXPECT_EQ(ParallelSweep::ThreadsForNested(100), 1);
-  EXPECT_EQ(ParallelSweep::ThreadsForNested(0), 8);  // non-positive: no split
-  ASSERT_EQ(unsetenv("AEGAEON_SWEEP_THREADS"), 0);
+TEST(ParallelSweepTest, ThrowingTasksRethrowAfterTheOthersRun) {
+  // Two of 64 tasks throw, one of them the very first: Map still runs the
+  // other 62 before rethrowing one of the two exceptions.
+  ParallelSweep sweep(4);
+  std::atomic<int> ran{0};
+  std::vector<std::function<int()>> tasks;
+  for (int i = 0; i < 64; ++i) {
+    tasks.push_back([i, &ran] {
+      if (i == 0 || i == 37) {
+        throw std::runtime_error("task " + std::to_string(i));
+      }
+      ran.fetch_add(1);
+      return i;
+    });
+  }
+  try {
+    sweep.Map(std::move(tasks));
+    ADD_FAILURE() << "Map did not rethrow";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_TRUE(what == "task 0" || what == "task 37") << what;
+  }
+  EXPECT_EQ(ran.load(), 62);
+}
+
+TEST(ParallelSweepTest, OneThreadRunsEveryTaskOnTheCaller) {
+  ParallelSweep sweep(1);
+  EXPECT_EQ(sweep.thread_count(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::function<std::thread::id()>> tasks(
+      16, [] { return std::this_thread::get_id(); });
+  for (std::thread::id id : sweep.Map(std::move(tasks))) {
+    EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ParallelSweepTest, MoreThreadsThanTasksKeepsInputOrder) {
+  ParallelSweep sweep(8);
+  EXPECT_EQ(sweep.thread_count(), 8);
+  std::vector<std::function<int()>> tasks;
+  for (int i = 0; i < 3; ++i) {
+    tasks.push_back([i] { return 10 * i + 1; });
+  }
+  EXPECT_EQ(sweep.Map(std::move(tasks)), (std::vector<int>{1, 11, 21}));
+  // The same workers serve the next Map, here an empty one.
+  EXPECT_TRUE(sweep.Map(std::vector<std::function<int()>>{}).empty());
 }
 
 // --- Determinism under parallelism -------------------------------------

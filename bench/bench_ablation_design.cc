@@ -12,16 +12,6 @@
 using namespace aegaeon;
 using namespace aegaeon_bench;
 
-namespace {
-
-double Run(const ModelRegistry& registry, const std::vector<ArrivalEvent>& trace,
-           AegaeonConfig config) {
-  AegaeonCluster cluster(config, registry, GpuSpec::H800());
-  return cluster.Run(trace).SloAttainment();
-}
-
-}  // namespace
-
 int main() {
   // A load where the design choices matter: 48 models at RPS 0.2 on 16 GPUs.
   ModelRegistry registry = ModelRegistry::MidSizeMarket(48);
@@ -35,7 +25,7 @@ int main() {
     AegaeonConfig config = base;
     config.max_group_size = gpsize;
     std::printf("MAX_GPSIZE = %-3d -> SLO attainment %6.2f%%\n", gpsize,
-                Run(registry, trace, config) * 100.0);
+                RunSystem(config, registry, trace).SloAttainment() * 100.0);
   }
 
   std::printf("\n--- (2) Weight prefetching ---\n");
@@ -43,7 +33,7 @@ int main() {
     AegaeonConfig config = base;
     config.prefetch = prefetch;
     std::printf("prefetch %-4s    -> SLO attainment %6.2f%%\n", prefetch ? "on" : "off",
-                Run(registry, trace, config) * 100.0);
+                RunSystem(config, registry, trace).SloAttainment() * 100.0);
   }
 
   std::printf("\n--- (3) Auto-scaling optimization tier (end-to-end) ---\n");
@@ -53,7 +43,7 @@ int main() {
     config.opt_level = level;
     config.prefetch = level >= OptLevel::kExplicitMemory;
     std::printf("%-22s -> SLO attainment %6.2f%%\n", ToString(level).c_str(),
-                Run(registry, trace, config) * 100.0);
+                RunSystem(config, registry, trace).SloAttainment() * 100.0);
   }
 
   std::printf("\n--- (4) QMAX sensitivity (paper: robust to alternatives) ---\n");
@@ -61,7 +51,7 @@ int main() {
     AegaeonConfig config = base;
     config.qmax = qmax;
     std::printf("QMAX = %-4.1fs     -> SLO attainment %6.2f%%\n", qmax,
-                Run(registry, trace, config) * 100.0);
+                RunSystem(config, registry, trace).SloAttainment() * 100.0);
   }
 
   std::printf("\n--- (5) Attainment floor alpha (Eq. 3) ---\n");
@@ -69,15 +59,14 @@ int main() {
     AegaeonConfig config = base;
     config.alpha_floor = floor;
     std::printf("alpha floor %.2f -> SLO attainment %6.2f%%\n", floor,
-                Run(registry, trace, config) * 100.0);
+                RunSystem(config, registry, trace).SloAttainment() * 100.0);
   }
 
   std::printf("\n--- (6) Hybrid multiplexing: co-resident models (§8 extension) ---\n");
   for (int residents : {1, 2, 3}) {
     AegaeonConfig config = base;
     config.resident_models = residents;
-    AegaeonCluster cluster(config, registry, GpuSpec::H800());
-    RunMetrics metrics = cluster.Run(trace);
+    RunMetrics metrics = RunSystem(config, registry, trace);
     double mean_switch = 0.0;
     for (double v : metrics.switch_latency_samples) {
       mean_switch += v;

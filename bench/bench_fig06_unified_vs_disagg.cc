@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "analysis/stats.h"
-#include "baselines/unified.h"
 #include "e2e_common.h"
 
 using namespace aegaeon;
@@ -40,20 +39,7 @@ std::vector<ArrivalEvent> LongPromptTrace(const ModelRegistry& registry) {
   return GeneratePoisson(registry, 0.12, kHorizon, long_inputs, kSeed);
 }
 
-Row RunUnified(UnifiedPolicy policy, const ModelRegistry& registry,
-               const std::vector<ArrivalEvent>& trace) {
-  UnifiedConfig config;
-  config.instances = 16;
-  config.policy = policy;
-  UnifiedCluster cluster(config, registry, GpuSpec::H800());
-  RunMetrics metrics = cluster.Run(trace);
-  double total = metrics.breakdown.Total();
-  return Row{metrics.SloAttainment(), Percentile(metrics.ttft_samples, 99),
-             total > 0 ? metrics.breakdown.decode_wait / total : 0.0};
-}
-
-Row RunDisagg(const ModelRegistry& registry, const std::vector<ArrivalEvent>& trace) {
-  RunMetrics metrics = RunAegaeon(registry, trace);
+Row RowOf(const RunMetrics& metrics) {
   double total = metrics.breakdown.Total();
   return Row{metrics.SloAttainment(), Percentile(metrics.ttft_samples, 99),
              total > 0 ? metrics.breakdown.decode_wait / total : 0.0};
@@ -79,20 +65,14 @@ int main() {
   // (workload x scheduler) fan-out: each task rebuilds registry and trace.
   using TraceFn = std::vector<ArrivalEvent> (*)(const ModelRegistry&);
   const TraceFn workloads[] = {&BurstyTrace, &LongPromptTrace};
+  // Every system on the default 16 GPUs, in Report's row order.
+  const std::vector<SystemSpec> schedulers = SpecsNamed({"unified-pf", "unified-df", "aegaeon"});
   std::vector<std::function<Row()>> tasks;
   for (TraceFn make_trace : workloads) {
-    for (int scheduler = 0; scheduler < 3; ++scheduler) {
-      tasks.push_back([make_trace, scheduler] {
+    for (const SystemSpec& spec : schedulers) {
+      tasks.push_back([make_trace, spec] {
         ModelRegistry registry = ModelRegistry::MidSizeMarket(40);
-        auto trace = make_trace(registry);
-        switch (scheduler) {
-          case 0:
-            return RunUnified(UnifiedPolicy::kPrefillFirst, registry, trace);
-          case 1:
-            return RunUnified(UnifiedPolicy::kDecodeFirst, registry, trace);
-          default:
-            return RunDisagg(registry, trace);
-        }
+        return RowOf(RunSystem(spec, registry, make_trace(registry)));
       });
     }
   }

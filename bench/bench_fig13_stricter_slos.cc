@@ -26,25 +26,18 @@ struct Fig13Row {
 int main() {
   const std::vector<int> model_counts = {16, 28, 40, 52, 64};
   const std::vector<double> scales = {0.5, 0.3, 0.2};
+  const std::vector<SystemSpec> systems = SpecsNamed({"aegaeon", "sllm", "mux"});
   // One task per (scale, #models, system); each rebuilds its own state.
   std::vector<std::function<double()>> tasks;
   for (double scale : scales) {
     for (int models : model_counts) {
-      auto point = [scale, models](int system) {
-        ModelRegistry registry =
-            ModelRegistry::MidSizeMarket(models, SloSpec::Chatbot().Scaled(scale));
-        auto trace = GeneratePoisson(registry, 0.1, kHorizon, Dataset::ShareGpt(), kSeed);
-        switch (system) {
-          case 0:
-            return RunAegaeon(registry, trace).SloAttainment();
-          case 1:
-            return RunServerless(registry, trace, false).SloAttainment();
-          default:
-            return RunMux(registry, trace).SloAttainment();
-        }
-      };
-      for (int system = 0; system < 3; ++system) {
-        tasks.push_back([point, system] { return point(system); });
+      for (const SystemSpec& spec : systems) {
+        tasks.push_back([scale, models, spec] {
+          ModelRegistry registry =
+              ModelRegistry::MidSizeMarket(models, SloSpec::Chatbot().Scaled(scale));
+          auto trace = GeneratePoisson(registry, 0.1, kHorizon, Dataset::ShareGpt(), kSeed);
+          return RunSystem(spec, registry, trace).SloAttainment();
+        });
       }
     }
   }

@@ -26,7 +26,7 @@ int main() {
   for (const Setup& setup : setups) {
     ModelRegistry registry = ModelRegistry::MidSizeMarket(setup.models);
     auto trace = GeneratePoisson(registry, setup.rps, kHorizon, Dataset::ShareGpt(), kSeed);
-    RunMetrics metrics = RunAegaeon(registry, trace);
+    RunMetrics metrics = RunSystem(AegaeonConfig{}, registry, trace);
     const LatencyBreakdown& b = metrics.breakdown;
     double total = b.Total();
     std::printf("%3dx%.1f     %11.1f%% %11.1f%% %11.1f%% %11.1f%% %11.2f%% %11.2f%%\n",

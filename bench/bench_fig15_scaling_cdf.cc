@@ -65,15 +65,14 @@ int main() {
       config.decode_instances = 10;
       config.weight_buffer_bytes = 56.0 * kGiB;
       config.gpu_kv_bytes = 20.0 * kGiB;
-      AegaeonCluster cluster(config, registry, GpuSpec::H800());
-      return cluster.Run(trace);
+      return RunSystem(config, registry, trace);
     });
   }
   for (const Setup& setup : setups) {
     tasks.push_back([setup] {
       ModelRegistry registry = ModelRegistry::MidSizeMarket(setup.models);
       auto trace = GeneratePoisson(registry, setup.rps, kHorizon, Dataset::ShareGpt(), kSeed);
-      return RunAegaeon(registry, trace);
+      return RunSystem(AegaeonConfig{}, registry, trace);
     });
   }
   std::vector<RunMetrics> all = SweepMap(std::move(tasks));

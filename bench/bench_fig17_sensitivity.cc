@@ -43,8 +43,7 @@ double Run72B(double total_rps, double ttft_scale) {
   config.decode_instances = 1;
   config.instance_tp = 4;
   config.weight_buffer_bytes = 76.0 * kGiB;  // two 36 GB shards fit
-  AegaeonCluster cluster(config, registry, GpuSpec::H800());
-  return cluster.Run(trace).SloAttainment();
+  return RunSystem(config, registry, trace).SloAttainment();
 }
 
 }  // namespace

@@ -35,16 +35,12 @@ int main() {
     tasks.push_back([models, relaxed, strict] {
       ModelRegistry registry = ModelRegistry::MixedSloMarket(models, relaxed, strict);
       auto trace = GeneratePoisson(registry, 0.1, kHorizon, Dataset::ShareGpt(), kSeed);
-      AegaeonConfig config;
-      AegaeonCluster cluster(config, registry, GpuSpec::H800());
-      RunMetrics metrics = cluster.Run(trace);
-
+      auto system = MakeServingSystem(AegaeonConfig{}, registry, GpuSpec::H800());
       TierRow row;
-      row.overall = metrics.SloAttainment();
-      for (const Request& r : cluster.requests()) {
-        int tier = static_cast<int>(r.model % 2);
-        row.met[tier] += r.tokens_met;
-        row.total[tier] += r.output_tokens;
+      row.overall = system->Run(trace).SloAttainment();
+      for (const ModelReport& model : system->PerModelReport()) {
+        row.met[model.id % 2] += model.tokens_met;
+        row.total[model.id % 2] += model.tokens_total;
       }
       return row;
     });

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "analysis/report.h"
@@ -43,38 +44,11 @@ std::vector<ArrivalEvent> MakeTrace(const ModelRegistry& registry, double load_f
                         kMeanBurst, kHorizonS, Dataset::ShareGpt(), kTraceSeed);
 }
 
-ProxyPolicy BenchProxy() {
-  ProxyPolicy policy;
-  policy.enabled = true;
-  return policy;
-}
-
-CellResult RunAegaeonCell(double load_factor, bool proxy) {
+CellResult RunCell(const SystemSpec& spec, double load_factor) {
   ModelRegistry registry = ModelRegistry::MidSizeMarket(kModels);
-  auto trace = MakeTrace(registry, load_factor);
-  AegaeonConfig config;
-  config.prefill_instances = 2;
-  config.decode_instances = 3;
-  if (proxy) {
-    config.proxy = BenchProxy();
-  }
-  AegaeonCluster cluster(config, registry, GpuSpec::H800());
-  CellResult cell{cluster.Run(trace), 0.0};
-  cell.fairness = JainFairness(BuildPerModelReport(cluster.requests(), registry));
-  return cell;
-}
-
-CellResult RunServerlessCell(double load_factor, bool proxy) {
-  ModelRegistry registry = ModelRegistry::MidSizeMarket(kModels);
-  auto trace = MakeTrace(registry, load_factor);
-  ServerlessLlmConfig config;
-  config.gpus = 5;
-  if (proxy) {
-    config.proxy = BenchProxy();
-  }
-  ServerlessLlmCluster cluster(config, registry, GpuSpec::H800());
-  CellResult cell{cluster.Run(trace), 0.0};
-  cell.fairness = JainFairness(BuildPerModelReport(cluster.requests(), registry));
+  std::unique_ptr<ServingSystem> system = MakeServingSystem(spec, registry, GpuSpec::H800());
+  CellResult cell{system->Run(MakeTrace(registry, load_factor)), 0.0};
+  cell.fairness = JainFairness(system->PerModelReport());
   return cell;
 }
 
@@ -96,11 +70,17 @@ int main() {
 
   // 2 systems x 2 proxy settings x |factors| independent runs, fanned
   // across the sweep pool (each task rebuilds registry + trace itself).
+  AegaeonConfig aegaeon;
+  aegaeon.prefill_instances = 2;
+  aegaeon.decode_instances = 3;
+  ServerlessLlmConfig serverless;
+  serverless.gpus = 5;
   std::vector<std::function<CellResult()>> tasks;
   for (double factor : factors) {
     for (int proxy = 0; proxy < 2; ++proxy) {
-      tasks.push_back([factor, proxy] { return RunAegaeonCell(factor, proxy != 0); });
-      tasks.push_back([factor, proxy] { return RunServerlessCell(factor, proxy != 0); });
+      aegaeon.proxy.enabled = serverless.proxy.enabled = proxy != 0;
+      tasks.push_back([aegaeon, factor] { return RunCell(aegaeon, factor); });
+      tasks.push_back([serverless, factor] { return RunCell(serverless, factor); });
     }
   }
   std::vector<CellResult> cells = SweepMap(std::move(tasks));

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
   // 3. Per-run counters from one representative e2e run.
   ModelRegistry registry = ModelRegistry::MidSizeMarket(24);
   auto trace = GeneratePoisson(registry, 0.1, kHorizon, Dataset::ShareGpt(), kSeed);
-  RunMetrics metrics = RunAegaeon(registry, trace);
+  RunMetrics metrics = RunSystem(AegaeonConfig{}, registry, trace);
   std::printf("e2e run counters (24 models): %llu events in %.3fs -> %.0f events/sec\n",
               static_cast<unsigned long long>(metrics.sim.events_processed),
               metrics.sim.wall_seconds, metrics.sim.EventsPerSec());

@@ -7,18 +7,17 @@
 #define AEGAEON_BENCH_E2E_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/metrics.h"
-#include "baselines/muxserve.h"
-#include "baselines/serverless_llm.h"
-#include "core/cluster.h"
 #include "hw/gpu_spec.h"
 #include "model/registry.h"
 #include "sim/parallel_sweep.h"
+#include "systems/factory.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
 
@@ -36,32 +35,24 @@ struct E2eResult {
   double muxserve = 0.0;
 };
 
-inline RunMetrics RunAegaeon(const ModelRegistry& registry,
-                             const std::vector<ArrivalEvent>& trace, int prefill = 6,
-                             int decode = 10) {
-  AegaeonConfig config;
-  config.prefill_instances = prefill;
-  config.decode_instances = decode;
-  AegaeonCluster cluster(config, registry, GpuSpec::H800());
-  return cluster.Run(trace);
+// Builds the system `spec` selects on the paper's H800s and serves `trace`.
+inline RunMetrics RunSystem(const SystemSpec& spec, const ModelRegistry& registry,
+                            const std::vector<ArrivalEvent>& trace) {
+  return MakeServingSystem(spec, registry, GpuSpec::H800())->Run(trace);
 }
 
-inline RunMetrics RunServerless(const ModelRegistry& registry,
-                                const std::vector<ArrivalEvent>& trace, bool sjf,
-                                int gpus = 16) {
-  ServerlessLlmConfig config;
-  config.gpus = gpus;
-  config.sjf = sjf;
-  ServerlessLlmCluster cluster(config, registry, GpuSpec::H800());
-  return cluster.Run(trace);
-}
-
-inline RunMetrics RunMux(const ModelRegistry& registry, const std::vector<ArrivalEvent>& trace,
-                         int gpus = 16) {
-  MuxServeConfig config;
-  config.gpus = gpus;
-  MuxServeCluster cluster(config, registry, GpuSpec::H800());
-  return cluster.Run(trace);
+// The default spec of each named system (SystemSpecFromName), in order.
+// A misspelt name aborts rather than silently running the variant's
+// default alternative.
+inline std::vector<SystemSpec> SpecsNamed(const std::vector<std::string>& names) {
+  std::vector<SystemSpec> specs(names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (!SystemSpecFromName(names[i], &specs[i])) {
+      std::fprintf(stderr, "unknown system '%s'\n", names[i].c_str());
+      std::abort();
+    }
+  }
+  return specs;
 }
 
 // --- Parallel sweeps ----------------------------------------------------
@@ -88,34 +79,21 @@ struct SweepCase {
 // returns per-case SLO attainments in input order.
 inline std::vector<E2eResult> RunAllSystemsSweep(const std::vector<SweepCase>& cases,
                                                  int threads = 0) {
-  enum SystemKind { kAegaeon, kServerless, kServerlessPlus, kMuxServe, kSystems };
+  const std::vector<SystemSpec> systems = SpecsNamed({"aegaeon", "sllm", "sllm+", "mux"});
   std::vector<std::function<double()>> tasks;
-  tasks.reserve(cases.size() * kSystems);
+  tasks.reserve(cases.size() * systems.size());
   for (const SweepCase& c : cases) {
-    for (int system = 0; system < kSystems; ++system) {
-      tasks.push_back([c, system] {
+    for (const SystemSpec& spec : systems) {
+      tasks.push_back([c, spec] {
         ModelRegistry registry = c.registry();
-        std::vector<ArrivalEvent> trace = c.trace(registry);
-        switch (system) {
-          case kAegaeon:
-            return RunAegaeon(registry, trace).SloAttainment();
-          case kServerless:
-            return RunServerless(registry, trace, /*sjf=*/false).SloAttainment();
-          case kServerlessPlus:
-            return RunServerless(registry, trace, /*sjf=*/true).SloAttainment();
-          default:
-            return RunMux(registry, trace).SloAttainment();
-        }
+        return RunSystem(spec, registry, c.trace(registry)).SloAttainment();
       });
     }
   }
-  std::vector<double> attainments = SweepMap(std::move(tasks), threads);
+  std::vector<double> a = SweepMap(std::move(tasks), threads);
   std::vector<E2eResult> results(cases.size());
   for (size_t i = 0; i < cases.size(); ++i) {
-    results[i].aegaeon = attainments[i * kSystems + kAegaeon];
-    results[i].serverless = attainments[i * kSystems + kServerless];
-    results[i].serverless_plus = attainments[i * kSystems + kServerlessPlus];
-    results[i].muxserve = attainments[i * kSystems + kMuxServe];
+    results[i] = {a[4 * i], a[4 * i + 1], a[4 * i + 2], a[4 * i + 3]};
   }
   return results;
 }

@@ -11,6 +11,7 @@
 #include "analysis/metrics.h"
 #include "baselines/model_server.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "model/latency_model.h"
 #include "model/registry.h"
 #include "sim/simulator.h"
@@ -22,12 +23,15 @@ struct DedicatedConfig {
   int max_batch = 32;
 };
 
-class DedicatedCluster {
+class DedicatedCluster final : public ServingSystem {
  public:
   DedicatedCluster(DedicatedConfig config, const ModelRegistry& registry,
                    const GpuSpec& gpu_spec);
 
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  std::vector<ModelReport> PerModelReport() const override {
+    return BuildPerModelReport(requests_, registry_);
+  }
 
   int gpus() const { return static_cast<int>(registry_.size()); }
 

@@ -17,6 +17,7 @@
 #include "analysis/metrics.h"
 #include "baselines/model_server.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "model/latency_model.h"
 #include "model/registry.h"
 #include "sim/simulator.h"
@@ -37,11 +38,14 @@ struct MuxServeConfig {
   int max_batch = 32;
 };
 
-class MuxServeCluster {
+class MuxServeCluster final : public ServingSystem {
  public:
   MuxServeCluster(MuxServeConfig config, const ModelRegistry& registry, const GpuSpec& gpu_spec);
 
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  std::vector<ModelReport> PerModelReport() const override {
+    return BuildPerModelReport(requests_, registry_);
+  }
 
   // Models the placement optimizer accepted.
   int placed_models() const { return placed_models_; }

@@ -21,6 +21,7 @@
 #include "analysis/metrics.h"
 #include "baselines/model_server.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "model/latency_model.h"
 #include "model/registry.h"
 #include "serve/proxy.h"
@@ -42,12 +43,15 @@ struct ServerlessLlmConfig {
   ProxyPolicy proxy;
 };
 
-class ServerlessLlmCluster {
+class ServerlessLlmCluster final : public ServingSystem {
  public:
   ServerlessLlmCluster(ServerlessLlmConfig config, const ModelRegistry& registry,
                        const GpuSpec& gpu_spec);
 
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  std::vector<ModelReport> PerModelReport() const override {
+    return BuildPerModelReport(requests_, registry_);
+  }
 
   const std::vector<Request>& requests() const { return requests_; }
   const ServingProxy* proxy() const { return proxy_.get(); }

@@ -23,6 +23,7 @@
 #include "analysis/metrics.h"
 #include "core/decode_scheduler.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "engine/autoscaler.h"
 #include "hw/node.h"
 #include "mem/model_cache.h"
@@ -53,11 +54,14 @@ struct UnifiedConfig {
   double remote_registry_bw = 12.5e9;
 };
 
-class UnifiedCluster {
+class UnifiedCluster final : public ServingSystem {
  public:
   UnifiedCluster(UnifiedConfig config, const ModelRegistry& registry, const GpuSpec& gpu_spec);
 
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  std::vector<ModelReport> PerModelReport() const override {
+    return BuildPerModelReport(requests_, registry_);
+  }
 
   const std::vector<Request>& requests() const { return requests_; }
 

@@ -20,6 +20,7 @@
 #include "core/decode_scheduler.h"
 #include "core/prefill_scheduler.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "engine/autoscaler.h"
 #include "hw/node.h"
 #include "kv/transfer_engine.h"
@@ -32,14 +33,17 @@
 
 namespace aegaeon {
 
-class AegaeonCluster {
+class AegaeonCluster final : public ServingSystem {
  public:
   AegaeonCluster(AegaeonConfig config, const ModelRegistry& registry, const GpuSpec& gpu_spec);
 
   // Serves the whole trace to completion and returns run metrics.
   // Equivalent to BeginRun(); InjectArrivals(trace.data(), trace.size(),
   // 0.0); AdvanceAll(); FinishRun().
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  std::vector<ModelReport> PerModelReport() const override {
+    return BuildPerModelReport(requests_, registry_);
+  }
 
   // --- Stepwise execution (sharded fleet; see core/fleet.h) --------------
   // The fleet drives each cell cluster incrementally: arrivals are injected
@@ -70,8 +74,6 @@ class AegaeonCluster {
   // advance.
   RunMetrics FinishRun();
 
-  // Requests that reached RequestPhase::kDone.
-  uint64_t completed_requests() const { return completed_count_; }
   // Requests whose lifecycle has ended: completed plus proxy-dropped. The
   // fleet's load balancer uses injected - settled as a cell's outstanding
   // load.

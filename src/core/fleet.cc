@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 
 namespace aegaeon {
 
@@ -23,6 +24,7 @@ constexpr int kRouteQuantum = 4;
 ShardedFleet::ShardedFleet(FleetConfig config, const ModelRegistry& registry,
                            const GpuSpec& gpu_spec)
     : config_(config),
+      registry_(registry),
       sharded_(ClampShards(config.shards, std::max(config.cells, 1)), config.threads) {
   const int cells = std::max(config_.cells, 1);
   // The dispatch channel only exists when there is more than one cell to
@@ -109,11 +111,6 @@ ShardedFleet::~ShardedFleet() {
     simsan::ScopedInstance scope(*simsan_[i]);
     cells_[i].reset();
   }
-}
-
-int ShardedFleet::total_gpus() const {
-  return cells() * (config_.cell.prefill_instances + config_.cell.decode_instances) *
-         config_.cell.instance_tp;
 }
 
 void ShardedFleet::ShardRange(int shard, int* begin, int* end) const {
@@ -301,6 +298,14 @@ RunMetrics ShardedFleet::Run(const std::vector<ArrivalEvent>& trace) {
   fleet.sync_epochs_skipped = sharded_.epochs_skipped();
   fleet.ctrl = ctrl_->stats();
   return fleet;
+}
+
+std::vector<ModelReport> ShardedFleet::PerModelReport() const {
+  std::deque<Request> pooled;
+  for (const std::unique_ptr<AegaeonCluster>& cell : cells_) {
+    pooled.insert(pooled.end(), cell->requests().begin(), cell->requests().end());
+  }
+  return BuildPerModelReport(pooled, registry_);
 }
 
 FleetAudit ShardedFleet::audit() const {

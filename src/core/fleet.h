@@ -63,6 +63,7 @@
 #include "core/cluster.h"
 #include "core/config.h"
 #include "core/request.h"
+#include "core/serving_system.h"
 #include "core/thread_annotations.h"
 #include "ctrl/control_plane.h"
 #include "ctrl/dispatcher.h"
@@ -102,7 +103,7 @@ struct FleetAudit {
   uint64_t sync_overruns = 0;  // cell shadow watermark crossed an epoch horizon
 };
 
-class ShardedFleet {
+class ShardedFleet final : public ServingSystem {
  public:
   // Aborts when cells > 1 and dispatch_latency <= 0 (the conservative
   // protocol would make no progress).
@@ -115,11 +116,12 @@ class ShardedFleet {
   // Serves the whole trace (time-sorted arrivals) to completion. Returns
   // fleet-pooled metrics: per-request aggregates merged across cells,
   // per-shard host cost in shard_sim, and the epoch count in sync_epochs.
-  RunMetrics Run(const std::vector<ArrivalEvent>& trace);
+  RunMetrics Run(const std::vector<ArrivalEvent>& trace) override;
+  // One report over every cell's requests, pooled in cell-index order.
+  std::vector<ModelReport> PerModelReport() const override;
 
   int cells() const { return static_cast<int>(cells_.size()); }
   int shards() const { return sharded_.shards(); }
-  int total_gpus() const;
   // Epoch length; kTimeNever when cells == 1 (single epoch, exact).
   Duration lookahead() const { return lookahead_; }
   // Conservative-sync epochs executed by the last Run.
@@ -145,8 +147,6 @@ class ShardedFleet {
   // Schedules the dispatcher replica leading at `when` to crash and
   // recover `downtime` later (ctrl replication handles the failover).
   void ScheduleDispatcherCrash(TimePoint when, Duration downtime);
-  // Dispatcher replication state (election terms, failover counters).
-  const ControlPlane& control_plane() const { return *ctrl_; }
 
   FleetAudit audit() const;
 
@@ -173,6 +173,7 @@ class ShardedFleet {
   bool ShardHasWork(int shard, TimePoint horizon) const;
 
   FleetConfig config_;
+  const ModelRegistry& registry_;
   Duration lookahead_ = kTimeNever;
   ShardedSim sharded_;
   std::vector<std::unique_ptr<AegaeonCluster>> cells_;

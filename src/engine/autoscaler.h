@@ -55,15 +55,6 @@ struct ScaleBreakdown {
   Duration misc = 0.0;
   bool kv_blocking = true;   // KV stages on the critical path?
   bool prefetch_hit = false;
-
-  // Total critical-path latency of the switch.
-  Duration CriticalPath() const {
-    Duration total = gc + dist_exec + model_load + profile + kv_init + misc;
-    if (kv_blocking) {
-      total += kv_out + kv_in;
-    }
-    return total;
-  }
 };
 
 struct ScaleResult {

@@ -55,7 +55,6 @@ class WeightedFairQueue {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t QueuedFor(ModelId model) const { return queues_[model].size(); }
 
  private:
   struct Entry {

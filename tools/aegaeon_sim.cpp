@@ -12,25 +12,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "analysis/report.h"
 #include "analysis/stats.h"
 #include "analysis/timeline.h"
-#include "baselines/dedicated.h"
-#include "baselines/muxserve.h"
-#include "baselines/serverless_llm.h"
-#include "baselines/unified.h"
-#include "core/cluster.h"
-#include "core/fleet.h"
 #include "ctrl/fault_plan.h"
 #include "hw/gpu_spec.h"
 #include "model/registry.h"
 #include "sim/parse_number.h"
+#include "systems/factory.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
 #include "planner/workload_matrix.h"
@@ -42,6 +38,7 @@ using namespace aegaeon;
 
 struct Options {
   std::string system = "aegaeon";  // aegaeon|sllm|sllm+|mux|dedicated|unified-pf|unified-df
+  SystemSpec spec;                 // the default config of `system`
   int models = 20;
   double rps = 0.1;
   double horizon = 300.0;
@@ -65,6 +62,7 @@ struct Options {
   // Fault specs in flag order (ctrl/fault_plan.h syntax); --kill-dispatcher
   // and --aging-drift are sugar that appends here too.
   std::vector<std::string> fault_specs;
+  FaultPlan fault_plan;  // fault_specs, parsed
   bool per_model = false;
   std::string json_out;
   std::string matrix_out;
@@ -86,7 +84,7 @@ void Usage() {
       "  --seed S       workload seed (default 2025)\n"
       "  --trace-in F   replay a CSV trace instead of generating one\n"
       "  --trace-out F  save the generated trace as CSV\n"
-      "  --timeline F   write a Chrome trace of instance activity (aegaeon only)\n"
+      "  --timeline F   write a Chrome trace of instance activity (one aegaeon cell)\n"
       "  --nodes N      physical nodes the Aegaeon pool spans (default 1)\n"
       "  --residents N  co-resident models per instance (hybrid mode; default 1)\n"
       "  --cells N      Aegaeon serving cells in the fleet (default 1; >1 runs the\n"
@@ -139,6 +137,14 @@ Dataset PickDataset(const std::string& name) {
   }
   std::fprintf(stderr, "unknown --dataset '%s'\n", name.c_str());
   std::exit(2);
+}
+
+// A dispatcher exists only in the fleet executor: more than one cell or
+// shard, replication, or a dispatcher fault puts an Aegaeon run on it.
+bool FleetRun(const Options& opts) {
+  return opts.system == "aegaeon" &&
+         (opts.cells > 1 || opts.shards > 1 || opts.fault_plan.HasDispatcherFault() ||
+          opts.ctrl_replicas > 1);
 }
 
 bool ParseArgs(int argc, char** argv, Options& opts) {
@@ -236,12 +242,56 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     std::fprintf(stderr, "--ctrl-replicas must be >= 1\n");
     return false;
   }
-  if ((!opts.fault_specs.empty() || opts.ctrl_replicas > 1) && opts.system != "aegaeon") {
-    std::fprintf(stderr, "--fail/--kill-dispatcher/--aging-drift/--ctrl-replicas require "
-                         "--system aegaeon\n");
+  if (!SystemSpecFromName(opts.system, &opts.spec)) {
+    std::fprintf(stderr, "unknown --system '%s'\n", opts.system.c_str());
+    return false;
+  }
+  if ((!opts.fault_specs.empty() || opts.ctrl_replicas > 1 || opts.cells > 1 ||
+       opts.shards > 1) &&
+      opts.system != "aegaeon") {
+    std::fprintf(stderr, "--fail/--kill-dispatcher/--aging-drift/--ctrl-replicas and "
+                         "--cells/--shards > 1 require --system aegaeon\n");
+    return false;
+  }
+  std::string fault_error;
+  if (!ParseFaultSpecs(opts.fault_specs, &opts.fault_plan, &fault_error)) {
+    std::fprintf(stderr, "bad fault spec: %s\n", fault_error.c_str());
+    return false;
+  }
+  if (!opts.timeline.empty() && (opts.system != "aegaeon" || FleetRun(opts))) {
+    std::fprintf(stderr, "--timeline requires --system aegaeon on one cell (no --cells, "
+                         "--shards, --ctrl-replicas or dispatcher fault)\n");
     return false;
   }
   return true;
+}
+
+// The --system config with the sizing flags applied. An Aegaeon run that
+// needs a dispatcher becomes a fleet of such cells.
+SystemSpec BuildSpec(const Options& opts) {
+  SystemSpec spec = opts.spec;
+  if (auto* aegaeon = std::get_if<AegaeonConfig>(&spec)) {
+    aegaeon->prefill_instances = opts.prefill;
+    aegaeon->decode_instances = opts.decode;
+    aegaeon->nodes = opts.nodes;
+    aegaeon->resident_models = opts.residents;
+    if (FleetRun(opts)) {
+      FleetConfig fleet;
+      fleet.cells = opts.cells;
+      fleet.shards = opts.shards;
+      fleet.dispatch_latency = opts.dispatch_latency;
+      fleet.ctrl.replicas = opts.ctrl_replicas;
+      fleet.cell = *aegaeon;
+      return fleet;
+    }
+  } else if (auto* sllm = std::get_if<ServerlessLlmConfig>(&spec)) {
+    sllm->gpus = opts.gpus;
+  } else if (auto* mux = std::get_if<MuxServeConfig>(&spec)) {
+    mux->gpus = opts.gpus;
+  } else if (auto* unified = std::get_if<UnifiedConfig>(&spec)) {
+    unified->instances = opts.gpus;
+  }
+  return spec;
 }
 
 void PrintMetrics(const std::string& system, const RunMetrics& metrics) {
@@ -327,43 +377,32 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  FaultPlan fault_plan;
-  std::string fault_error;
-  if (!ParseFaultSpecs(opts.fault_specs, &fault_plan, &fault_error)) {
-    std::fprintf(stderr, "bad fault spec: %s\n", fault_error.c_str());
-    return 2;
-  }
-  // A dispatcher exists only in the fleet executor: a dispatcher fault (or
-  // replication) promotes a single-cell run onto the fleet path.
-  const bool fleet_run = opts.system == "aegaeon" &&
-                         (opts.cells > 1 || opts.shards > 1 ||
-                          fault_plan.HasDispatcherFault() || opts.ctrl_replicas > 1);
-
-  if (fleet_run) {
-    // Fleet path: a pool of identical Aegaeon cells behind a fleet
-    // dispatcher, advanced by the sharded conservative-sync executor.
-    FleetConfig config;
-    config.cells = opts.cells;
-    config.shards = opts.shards;
-    config.dispatch_latency = opts.dispatch_latency;
-    config.ctrl.replicas = opts.ctrl_replicas;
-    config.cell.prefill_instances = opts.prefill;
-    config.cell.decode_instances = opts.decode;
-    config.cell.nodes = opts.nodes;
-    config.cell.resident_models = opts.residents;
+  std::unique_ptr<ServingSystem> system = MakeServingSystem(BuildSpec(opts), registry, gpu);
+  // Only the extras below depend on the system's type.
+  auto* fleet = dynamic_cast<ShardedFleet*>(system.get());
+  auto* cluster = dynamic_cast<AegaeonCluster*>(system.get());
+  TimelineRecorder recorder;
+  if (fleet != nullptr) {
+    opts.fault_plan.ApplyTo(*fleet);
+  } else if (cluster != nullptr) {
+    opts.fault_plan.ApplyTo(*cluster);
     if (!opts.timeline.empty()) {
-      std::fprintf(stderr, "--timeline is not supported with --cells/--shards; ignoring\n");
+      cluster->AttachTimeline(&recorder);
     }
-    ShardedFleet fleet(config, registry, gpu);
-    fault_plan.ApplyTo(fleet);
-    RunMetrics metrics = fleet.Run(trace);
-    PrintMetrics(opts.system, metrics);
+  }
+  RunMetrics metrics = system->Run(trace);
+  if (const auto* mux = dynamic_cast<const MuxServeCluster*>(system.get())) {
+    std::printf("placement: %d of %d models placed (max %d per GPU)\n", mux->placed_models(),
+                opts.models, mux->max_models_per_gpu());
+  }
+  PrintMetrics(opts.system, metrics);
+  if (fleet != nullptr) {
     std::printf("fleet:               %d cells x %d GPUs, %d shard(s), %lu sync epochs "
                 "(%lu slots skipped)\n",
-                fleet.cells(), opts.prefill + opts.decode, fleet.shards(),
-                static_cast<unsigned long>(fleet.epochs()),
-                static_cast<unsigned long>(fleet.epochs_skipped()));
-    FleetAudit audit = fleet.audit();
+                fleet->cells(), opts.prefill + opts.decode, fleet->shards(),
+                static_cast<unsigned long>(fleet->epochs()),
+                static_cast<unsigned long>(fleet->epochs_skipped()));
+    FleetAudit audit = fleet->audit();
     if (audit.checks > 0 || audit.sync_overruns > 0) {
       std::printf("fleet audit:         %lu checks, %lu violations, %lu sync overruns\n",
                   static_cast<unsigned long>(audit.checks),
@@ -379,82 +418,27 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long>(metrics.ctrl.redispatched_requests),
                   metrics.ctrl.leader_downtime);
     }
-    if (opts.per_model) {
-      std::deque<Request> pooled;
-      for (int c = 0; c < fleet.cells(); ++c) {
-        const auto& cell_requests = fleet.cell(c).requests();
-        pooled.insert(pooled.end(), cell_requests.begin(), cell_requests.end());
-      }
-      std::printf("\n");
-      PrintPerModelReport(std::cout, BuildPerModelReport(pooled, registry));
+  }
+  if (cluster != nullptr && cluster->node_count() > 1) {
+    std::printf("nodes:               %d (%lu cross-node KV migrations)\n",
+                cluster->node_count(), static_cast<unsigned long>(cluster->kv_migrations()));
+  }
+  if (opts.per_model) {
+    std::printf("\n");
+    PrintPerModelReport(std::cout, system->PerModelReport());
+  }
+  if (!opts.json_out.empty()) {
+    std::ofstream json(opts.json_out);
+    WriteMetricsJson(json, metrics);
+    std::printf("metrics JSON written to %s\n", opts.json_out.c_str());
+  }
+  if (!opts.timeline.empty()) {
+    if (recorder.WriteChromeTraceFile(opts.timeline)) {
+      std::printf("timeline (%zu spans) written to %s\n", recorder.size(),
+                  opts.timeline.c_str());
+    } else {
+      std::fprintf(stderr, "failed to write timeline '%s'\n", opts.timeline.c_str());
     }
-    if (!opts.json_out.empty()) {
-      std::ofstream json(opts.json_out);
-      WriteMetricsJson(json, metrics);
-      std::printf("metrics JSON written to %s\n", opts.json_out.c_str());
-    }
-  } else if (opts.system == "aegaeon") {
-    AegaeonConfig config;
-    config.prefill_instances = opts.prefill;
-    config.decode_instances = opts.decode;
-    config.nodes = opts.nodes;
-    config.resident_models = opts.residents;
-    AegaeonCluster cluster(config, registry, gpu);
-    fault_plan.ApplyTo(cluster);
-    TimelineRecorder recorder;
-    if (!opts.timeline.empty()) {
-      cluster.AttachTimeline(&recorder);
-    }
-    RunMetrics metrics = cluster.Run(trace);
-    PrintMetrics(opts.system, metrics);
-    if (cluster.node_count() > 1) {
-      std::printf("nodes:               %d (%lu cross-node KV migrations)\n",
-                  cluster.node_count(), static_cast<unsigned long>(cluster.kv_migrations()));
-    }
-    if (opts.per_model) {
-      std::printf("\n");
-      PrintPerModelReport(std::cout, BuildPerModelReport(cluster.requests(), registry));
-    }
-    if (!opts.json_out.empty()) {
-      std::ofstream json(opts.json_out);
-      WriteMetricsJson(json, metrics);
-      std::printf("metrics JSON written to %s\n", opts.json_out.c_str());
-    }
-    if (!opts.timeline.empty()) {
-      if (recorder.WriteChromeTraceFile(opts.timeline)) {
-        std::printf("timeline (%zu spans) written to %s\n", recorder.size(),
-                    opts.timeline.c_str());
-      } else {
-        std::fprintf(stderr, "failed to write timeline '%s'\n", opts.timeline.c_str());
-      }
-    }
-  } else if (opts.system == "sllm" || opts.system == "sllm+") {
-    ServerlessLlmConfig config;
-    config.gpus = opts.gpus;
-    config.sjf = opts.system == "sllm+";
-    ServerlessLlmCluster cluster(config, registry, gpu);
-    PrintMetrics(opts.system, cluster.Run(trace));
-  } else if (opts.system == "mux") {
-    MuxServeConfig config;
-    config.gpus = opts.gpus;
-    MuxServeCluster cluster(config, registry, gpu);
-    std::printf("placement: %d of %d models placed (max %d per GPU)\n", cluster.placed_models(),
-                opts.models, cluster.max_models_per_gpu());
-    PrintMetrics(opts.system, cluster.Run(trace));
-  } else if (opts.system == "dedicated") {
-    DedicatedCluster cluster(DedicatedConfig{}, registry, gpu);
-    PrintMetrics(opts.system, cluster.Run(trace));
-  } else if (opts.system == "unified-pf" || opts.system == "unified-df") {
-    UnifiedConfig config;
-    config.instances = opts.gpus;
-    config.policy = opts.system == "unified-pf" ? UnifiedPolicy::kPrefillFirst
-                                                : UnifiedPolicy::kDecodeFirst;
-    UnifiedCluster cluster(config, registry, gpu);
-    PrintMetrics(opts.system, cluster.Run(trace));
-  } else {
-    std::fprintf(stderr, "unknown --system '%s'\n", opts.system.c_str());
-    Usage();
-    return 2;
   }
   return 0;
 }
